@@ -58,7 +58,6 @@ def _build_parser():
         p.add_argument("--max-iters", type=int, default=20000, dest="max_iters")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--plot", choices=["svg"], help="also write SVG plots")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=int, default=None)
 
     ps = sub.add_parser("solve", help="minimize one discrete problem")
@@ -162,19 +161,20 @@ def _run_one(kind, payload, args, method, n):
     return mesh, spec, rep
 
 
+def _polyline(u):
+    """Each element's end values joined in order: (xs, ys), two points per element."""
+    xs = np.column_stack([u.mesh.nodes[:-1], u.mesh.nodes[1:]]).ravel()
+    ys = u.coeffs[:, [0, -1]].ravel()
+    return xs, ys
+
+
 def _solution_plot(path, rep, problem=None, extra=None, title=""):
     chart = LineChart(title=title)
     u = rep.solution
-    xs = []
-    ys = []
-    for e in range(u.mesh.n_elements):
-        xl, xr = u.mesh.nodes[e], u.mesh.nodes[e + 1]
-        xs.extend([xl, xr])
-        ys.extend([u.coeffs[e, 0], u.coeffs[e, -1]])
     if problem is not None:
         gx = np.linspace(u.mesh.x_left, u.mesh.x_right, 801)
         chart.add_series(gx, problem.exact.u(gx), "exact")
-    chart.add_series(xs, ys, rep.method)
+    chart.add_series(*_polyline(u), rep.method)
     if extra is not None:
         for label, exs, eys in extra:
             chart.add_series(exs, eys, label)
@@ -288,13 +288,8 @@ def cmd_compare(args):
     csv = "\n".join(rows) + "\n"
     write_atomic(os.path.join(args.out, f"compare_n{args.n}.csv"), csv)
     if args.plot == "svg":
-        u = rep_cg.solution
-        xs, ys = [], []
-        for e in range(u.mesh.n_elements):
-            xs.extend([u.mesh.nodes[e], u.mesh.nodes[e + 1]])
-            ys.extend([u.coeffs[e, 0], u.coeffs[e, -1]])
         _solution_plot(os.path.join(args.out, f"compare_n{args.n}.svg"), rep_dg,
-                       payload, extra=[("cg", xs, ys)],
+                       payload, extra=[("cg", *_polyline(rep_cg.solution))],
                        title=f"DG n={mesh_dg.n_elements} vs CG n={mesh_cg.n_elements}")
     print(csv, end="")
     ok = rep_dg.converged and rep_cg.converged

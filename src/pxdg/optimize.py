@@ -252,64 +252,61 @@ def _line_through_data(spec):
     return lambda x: 0.0 * x
 
 
-def _initial_dofs(spec, k, cfg, continuous):
+def _initial_dofs(spec, k, cfg, asm, continuous):
+    """Starting DOF vector: broken DOFs for DG, every shared nodal value for CG."""
     guess = cfg.initial_guess
-    if isinstance(guess, str):
-        if guess == "zero":
-            fn = lambda x: 0.0 * x
-        elif guess == "linear_interp":
-            fn = _line_through_data(spec)
-        else:
-            raise ValueError(f"unknown initial guess {guess!r}")
-        v0 = interpolate(spec.mesh, k, fn, continuous=continuous)
-        return v0.dof_vector()
-    return np.asarray(guess, dtype=float).copy()
+    if not isinstance(guess, str):
+        return np.asarray(guess, dtype=float).copy()
+    if guess == "zero":
+        fn = np.zeros_like
+    elif guess == "linear_interp":
+        fn = _line_through_data(spec)
+    else:
+        raise ValueError(f"unknown initial guess {guess!r}")
+    if continuous:
+        return np.asarray(fn(asm.unique_x), dtype=float)
+    return interpolate(spec.mesh, k, fn).dof_vector()
+
+
+def _solve(spec, k, cfg, method):
+    """Shared body of solve_dg and solve_cg; CG pins its Dirichlet values and
+    minimizes over the remaining nodal values."""
+    cfg = cfg or BfgsConfig()
+    continuous = method == "cg"
+    asm = (continuous_assembly if continuous else discrete_assembly)(spec, k)
+    x = _initial_dofs(spec, k, cfg, asm, continuous)
+    free = slice(None)
+    fg = asm.value_and_grad
+    if continuous:
+        pinned = dict(asm.dirichlet_dofs)
+        for dof, val in pinned.items():
+            x[dof] = val
+        free = np.array([i for i in range(asm.n_unique) if i not in pinned], dtype=int)
+
+        def fg(xfree):
+            x[free] = xfree
+            val, grad = asm.value_and_grad(x)
+            return val, grad[free]
+
+    t0 = time.perf_counter()
+    res = _minimize(fg, x[free].copy(), cfg)
+    wall = time.perf_counter() - t0
+    x[free] = res.x
+    if not np.all(np.isfinite(x)) or not np.isfinite(res.fun):
+        raise ArithmeticError(f"{method.upper()} solve diverged to a non-finite state")
+    dofs = asm.unique_to_broken(x) if continuous else x
+    u = BrokenFunction.from_dofs(spec.mesh, k, dofs, continuous=continuous)
+    return SolveReport(u, asm.terms(x), res.iterations, res.converged,
+                       res.grad_norm_history, res.f_history,
+                       res.line_search_failures, wall, method)
 
 
 def solve_dg(spec, k, cfg=None):
     """Minimize the penalized broken energy over degree-k broken polynomials."""
-    cfg = cfg or BfgsConfig()
-    asm = discrete_assembly(spec, k)
-    x0 = _initial_dofs(spec, k, cfg, continuous=False)
-    t0 = time.perf_counter()
-    res = _minimize(asm.value_and_grad, x0, cfg)
-    wall = time.perf_counter() - t0
-    if not np.all(np.isfinite(res.x)) or not np.isfinite(res.fun):
-        raise ArithmeticError("DG solve diverged to a non-finite state")
-    u = BrokenFunction.from_dofs(spec.mesh, k, res.x)
-    return SolveReport(u, asm.terms(res.x), res.iterations, res.converged,
-                       res.grad_norm_history, res.f_history,
-                       res.line_search_failures, wall, "dg")
+    return _solve(spec, k, cfg, "dg")
 
 
 def solve_cg(spec, k, cfg=None):
     """Minimize the conforming energy over continuous degree-k functions with
     Dirichlet values eliminated from the optimization variables."""
-    cfg = cfg or BfgsConfig()
-    asm = continuous_assembly(spec, k)
-    pinned = {dof: val for dof, val in asm.dirichlet_dofs}
-    free = np.array([i for i in range(asm.n_unique) if i not in pinned], dtype=int)
-    x_full = np.asarray(_line_through_data(spec)(asm.unique_x), dtype=float)
-    if isinstance(cfg.initial_guess, str) and cfg.initial_guess == "zero":
-        x_full = np.zeros(asm.n_unique)
-    elif not isinstance(cfg.initial_guess, str):
-        x_full = np.asarray(cfg.initial_guess, dtype=float).copy()
-    for dof, val in pinned.items():
-        x_full[dof] = val
-
-    def fg(xfree):
-        x_full[free] = xfree
-        val, grad = asm.value_and_grad(x_full)
-        return val, grad[free]
-
-    t0 = time.perf_counter()
-    res = _minimize(fg, x_full[free].copy(), cfg)
-    wall = time.perf_counter() - t0
-    x_full[free] = res.x
-    if not np.all(np.isfinite(x_full)) or not np.isfinite(res.fun):
-        raise ArithmeticError("CG solve diverged to a non-finite state")
-    u = BrokenFunction.from_dofs(spec.mesh, k, asm.unique_to_broken(x_full),
-                                 continuous=True)
-    return SolveReport(u, asm.terms(x_full), res.iterations, res.converged,
-                       res.grad_norm_history, res.f_history,
-                       res.line_search_failures, wall, "cg")
+    return _solve(spec, k, cfg, "cg")

@@ -7,6 +7,7 @@ from pxdg.functional import (
     FunctionalSpec,
     TermBreakdown,
     coercivity_certificate,
+    continuous_assembly,
     discrete_assembly,
     eval_continuous,
     eval_discrete,
@@ -154,16 +155,23 @@ def _fd_check(asm, x, rng, n_dirs=8):
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(42)
     mesh = uniform_mesh(-1, 1, 6)
+    left = uniform_mesh(-1, 1, 6, "left")  # Neumann face on the right
+    R3 = ExponentField.constant(3.0)
     for spec in (
         make_spec(mesh),
         make_spec(mesh, p=HAT),
         make_spec(mesh, p=HAT, q=P2, xi=lambda x: np.sin(np.pi * x),
                   fidelity_on=True, quadrature=("trapezoid", 2)),
         make_spec(mesh, p=HAT, normalize_by_exponent=True),
+        make_spec(left, p=HAT, r=R3, u_D={"left": -1.0}),
+        make_spec(left, p=HAT, r=R3, u_D={"left": -1.0}, q=HAT, xi=np.cos,
+                  fidelity_on=True, quadrature=("gauss", 3), normalize_by_exponent=True),
     ):
-        asm = discrete_assembly(spec, 1)
-        for _ in range(5):
-            assert _fd_check(asm, rng.normal(size=asm.ndof), rng) <= 1e-6
+        dg = discrete_assembly(spec, 1)
+        cg = continuous_assembly(spec, 1)
+        for asm, n in ((dg, dg.ndof), (cg, cg.n_unique)):
+            for _ in range(5):
+                assert _fd_check(asm, rng.normal(size=n), rng) <= 1e-6
 
 
 def test_gradient_of_zero_candidate_is_boundary_local():
