@@ -52,18 +52,19 @@ def _basis(degree):
 
 
 def _eval_matrix(degree, ref_points):
-    """Matrix B with B[q, j] = phi_j(ref_points[q]) for the Lagrange basis."""
+    """Matrix B with B[q, j] = phi_j(ref_points[q]) for the Lagrange basis.
+
+    Rows are the barycentric formula; a point on a node gets that node's unit row.
+    """
     t, w, _ = _basis(degree)
     x = np.atleast_1d(np.asarray(ref_points, dtype=float))
-    B = np.zeros((x.size, t.size))
-    for q, xq in enumerate(x):
-        diff = xq - t
-        hit = np.where(np.abs(diff) < 1e-14)[0]
-        if hit.size:
-            B[q, hit[0]] = 1.0
-        else:
-            terms = w / diff
-            B[q, :] = terms / np.sum(terms)
+    diff = x[:, None] - t[None, :]
+    hit = np.abs(diff) < 1e-14
+    with np.errstate(all="ignore"):
+        terms = w / diff
+        B = terms / np.sum(terms, axis=1, keepdims=True)
+    on_node = hit.any(axis=1)
+    B[on_node] = np.eye(t.size)[hit[on_node].argmax(axis=1)]
     return B
 
 
@@ -134,15 +135,19 @@ def interpolate(mesh, degree, fn, continuous=False):
 
 
 def evaluate(u, x, side="left"):
-    """Point value of the element-local polynomial; side resolves node ambiguity."""
-    if isinstance(side, (int, np.integer)):
-        e = int(side)
-    else:
-        e = u.mesh.element_of(x, side)
+    """Values of the element-local polynomials at a scalar or array x.
+
+    side picks the element: "left" or "right" resolves a point on a node, and
+    element indices (an int or an int array) select it directly.
+    """
+    x = np.asarray(x, dtype=float)
+    e = u.mesh.element_of(x, side) if isinstance(side, str) else np.asarray(side)
+    x, e = np.broadcast_arrays(x, e)
     nodes = u.mesh.nodes
     xi = 2.0 * (x - nodes[e]) / (nodes[e + 1] - nodes[e]) - 1.0
-    B = _eval_matrix(u.degree, [xi])
-    return float(B[0] @ u.coeffs[e])
+    B = _eval_matrix(u.degree, xi.ravel())
+    vals = np.sum(B * u.coeffs[e.ravel()], axis=1).reshape(x.shape)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def elementwise_gradient(u):

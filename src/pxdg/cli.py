@@ -6,7 +6,6 @@ win over file entries.  Exit codes: 0 success, 1 solver non-convergence,
 """
 
 import argparse
-import concurrent.futures as cf
 import os
 import sys
 
@@ -14,7 +13,8 @@ import numpy as np
 
 from .broken import broken_seminorm, volume_samples
 from .exact import build_exact
-from .exponents import luxemburg_norm
+from .exponents import WeightedSampleSet, luxemburg_norm
+from .functional import TermBreakdown
 from .lifting import lift
 from .meshes import uniform_mesh
 from .optimize import BfgsConfig, solve_cg, solve_dg
@@ -58,7 +58,6 @@ def _build_parser():
         p.add_argument("--max-iters", type=int, default=20000, dest="max_iters")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--plot", choices=["svg"], help="also write SVG plots")
-        p.add_argument("--workers", type=int, default=None)
 
     ps = sub.add_parser("solve", help="minimize one discrete problem")
     common(ps)
@@ -120,13 +119,6 @@ def _apply_config_file(args, argv):
     return args
 
 
-def _workers(args):
-    if getattr(args, "workers", None):
-        return max(1, args.workers)
-    env = os.environ.get("PXDG_WORKERS")
-    return max(1, int(env)) if env else 1
-
-
 def _setup_problem(args):
     """Returns (kind, problem-or-opts)."""
     if args.problem == "paper1d":
@@ -186,8 +178,6 @@ def cmd_solve(args):
     mesh, spec, rep = _run_one(kind, payload, args, args.method, args.n)
     os.makedirs(args.out, exist_ok=True)
     write_atomic(os.path.join(args.out, "solution.csv"), rep.solution.to_csv())
-    from .functional import TermBreakdown
-
     write_atomic(os.path.join(args.out, "terms.csv"),
                  TermBreakdown.csv_header() + "\n" + rep.breakdown.csv_row() + "\n")
     write_atomic(os.path.join(args.out, "trace.csv"), rep.trace_csv())
@@ -226,13 +216,10 @@ def _convergence_row(kind, payload, args, method, n, reference=None):
 
 def _reference_errors(u, reference, p):
     gx = np.linspace(u.mesh.x_left, u.mesh.x_right, 2049)[1:-1]
-    uh = np.array([u(x) for x in gx])
-    ur = np.array([reference(x) for x in gx])
-    from .exponents import WeightedSampleSet
-
+    diff = u(gx) - reference(gx)
     w = np.full(gx.size, (u.mesh.x_right - u.mesh.x_left) / gx.size)
-    lux = luxemburg_norm(WeightedSampleSet(gx, w), uh - ur, p)
-    return lux, float(np.max(np.abs(uh - ur)))
+    lux = luxemburg_norm(WeightedSampleSet(gx, w), diff, p)
+    return lux, float(np.max(np.abs(diff)))
 
 
 def cmd_convergence(args):
@@ -242,21 +229,11 @@ def cmd_convergence(args):
     if kind == "custom":
         _, _, ref_rep = _run_one(kind, payload, args, args.method, 2 * max(ns))
         reference = ref_rep.solution
-    work = [(n,) for n in ns]
-    rows = [None] * len(ns)
+    rows = []
     all_conv = True
-    nw = _workers(args)
-
-    def job(i, n):
-        return i, _convergence_row(kind, payload, args, args.method, n, reference)
-
-    if nw == 1:
-        results = [job(i, n) for i, (n,) in enumerate(work)]
-    else:
-        with cf.ThreadPoolExecutor(max_workers=nw) as ex:
-            results = list(ex.map(lambda t: job(*t), [(i, n) for i, (n,) in enumerate(work)]))
-    for i, (row, conv) in results:
-        rows[i] = row
+    for n in ns:
+        row, conv = _convergence_row(kind, payload, args, args.method, n, reference)
+        rows.append(row)
         all_conv = all_conv and conv
     os.makedirs(args.out, exist_ok=True)
     csv = convergence_csv(rows)

@@ -39,34 +39,27 @@ class ExactSolution:
         return float(out) if scalar else out
 
     def _F(self, tau):
-        """Integral of C^{1/t} dt from eps to tau, tau in [eps, 1]."""
+        """Integral of C^{1/t} dt from eps to tau, for an array tau in [eps, 1]."""
         edges, prefix = self._tau_edges, self._prefix
-        i = int(np.searchsorted(edges, tau, side="right")) - 1
-        i = min(max(i, 0), edges.size - 2)
+        i = np.clip(np.searchsorted(edges, tau, side="right") - 1, 0, edges.size - 2)
         gx, gw = gauss_legendre(20)
         lo = edges[i]
         mid = 0.5 * (lo + tau)
         half = 0.5 * (tau - lo)
         c = math.log(self.C)
-        partial = half * float(np.sum(gw * np.exp(c / (mid + half * gx))))
-        return float(prefix[i] + partial)
+        partial = half * np.sum(gw * np.exp(c / (mid[:, None] + half[:, None] * gx)), axis=1)
+        return prefix[i] + partial
 
     def u(self, x):
         scalar = np.isscalar(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         _check_domain(xs)
-        flat = xs.ravel()
-        out = np.empty_like(flat)
-        scale = self.a / (1.0 - self.eps)
-        for i, xi in enumerate(flat):
-            ax = abs(xi)
-            if ax <= self.a:
-                tau = self.eps + (1.0 - self.eps) * ax / self.a
-                val = scale * self._F(tau)
-            else:
-                val = self.B - self.C * (1.0 - ax)
-            out[i] = math.copysign(val, xi) if xi != 0.0 else 0.0
-        out = out.reshape(xs.shape)
+        ax = np.abs(xs)
+        inner = ax <= self.a
+        val = self.B - self.C * (1.0 - ax)
+        tau = self.eps + (1.0 - self.eps) * ax[inner] / self.a
+        val[inner] = self.a / (1.0 - self.eps) * self._F(tau)
+        out = np.where(xs != 0.0, np.copysign(val, xs), 0.0)
         return float(out[0]) if scalar else out
 
     def flux(self, x):

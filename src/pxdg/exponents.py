@@ -146,14 +146,17 @@ class ExponentField:
     def from_text(text):
         kv = dict(tok.split("=", 1) for tok in text.split())
         kind = kv.get("kind")
-        if kind == "const":
-            return ExponentField.constant(float(kv["value"]))
-        if kind == "hat":
-            return ExponentField.hat_family(float(kv["eps"]), float(kv["a"]))
-        if kind == "pwl":
-            xs = [float(t) for t in kv["xs"].split(",")]
-            vals = [float(t) for t in kv["vals"].split(",")]
-            return ExponentField.piecewise_linear(xs, vals)
+        try:
+            if kind == "const":
+                return ExponentField.constant(float(kv["value"]))
+            if kind == "hat":
+                return ExponentField.hat_family(float(kv["eps"]), float(kv["a"]))
+            if kind == "pwl":
+                xs = [float(t) for t in kv["xs"].split(",")]
+                vals = [float(t) for t in kv["vals"].split(",")]
+                return ExponentField.piecewise_linear(xs, vals)
+        except KeyError as exc:
+            raise ValueError(f"exponent field spec {text!r} lacks the key {exc.args[0]!r}") from None
         raise ValueError(f"unknown exponent field spec {text!r}")
 
 

@@ -84,14 +84,15 @@ class Mesh1D:
         return float(np.max(self.element_sizes))
 
     def element_of(self, x, side="left"):
-        """Index of the element containing x; ties at a node resolved by side."""
-        if x < self.x_left - 1e-12 or x > self.x_right + 1e-12:
+        """Index of the element containing x; ties at a node resolved by side.
+
+        An array x gives an int array of the same shape, a scalar an int.
+        """
+        x = np.asarray(x, dtype=float)
+        if np.any((x < self.x_left - 1e-12) | (x > self.x_right + 1e-12)):
             raise ValueError("point outside mesh")
-        if side == "left":
-            i = int(np.searchsorted(self.nodes, x, side="left")) - 1
-        else:
-            i = int(np.searchsorted(self.nodes, x, side="right")) - 1
-        return min(max(i, 0), self.n_elements - 1)
+        i = np.clip(np.searchsorted(self.nodes, x, side=side) - 1, 0, self.n_elements - 1)
+        return int(i) if i.ndim == 0 else i
 
     def to_text(self):
         coords = ",".join(f"{x:.17g}" for x in self.nodes)

@@ -5,13 +5,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .broken import _eval_matrix, elementwise_gradient
+from .broken import elementwise_gradient, volume_samples
 from .exact import build_exact
-from .exponents import ExponentField, WeightedSampleSet, luxemburg_norm
+from .exponents import ExponentField, luxemburg_norm
 from .functional import FunctionalSpec
 from .lifting import LiftingConfig
-from .meshes import uniform_mesh
-from .quadrature import gauss_legendre
+from .meshes import Mesh1D, uniform_mesh
 
 __all__ = ["PaperProblem", "paper1d", "benchmark_mesh", "dg_spec", "cg_spec",
            "solution_errors", "reference_energy", "load_problem_file"]
@@ -85,44 +84,20 @@ def _error_partition(mesh, layer_halfwidth, x_center=0.0, levels=18):
     return np.array(sorted(pts))
 
 
-def _eval_on_partition(u, edges, gx):
-    """Values of the broken function on Gauss points of an arbitrary refinement
-    of its own mesh (every sub-interval lies inside one element)."""
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfs = 0.5 * np.diff(edges)
-    nodes = u.mesh.nodes
-    elem = np.clip(np.searchsorted(nodes, mids) - 1, 0, u.mesh.n_elements - 1)
-    out = np.empty((edges.size - 1, gx.size))
-    gout = np.empty_like(out)
-    grad = elementwise_gradient(u)
-    for i in range(edges.size - 1):
-        e = elem[i]
-        xq = mids[i] + halfs[i] * gx
-        xi = 2.0 * (xq - nodes[e]) / (nodes[e + 1] - nodes[e]) - 1.0
-        out[i] = _eval_matrix(u.degree, xi) @ u.coeffs[e]
-        gout[i] = _eval_matrix(grad.degree, xi) @ grad.coeffs[e]
-    return out, gout
-
-
 def solution_errors(u_h, problem, points_per_panel=8):
     """Error metrics of a discrete solution against the exact benchmark solution.
 
     Returns a dict with the L1 error, the max nodal error (both traces at every
     node), the Luxemburg p(.)-norm error, and the gradient p(.)-norm error, all
     integrated on a partition refined geometrically toward the origin layer.
+    Every Gauss point of that partition lies strictly inside one element.
     """
     mesh = u_h.mesh
     layer = max(problem.a, 1e-6)
-    edges = _error_partition(mesh, layer)
-    gx, gw = gauss_legendre(points_per_panel)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfs = 0.5 * np.diff(edges)
-    xq = (mids[:, None] + halfs[:, None] * gx[None, :]).ravel()
-    wq = (halfs[:, None] * gw[None, :]).ravel()
-    vals, gvals = _eval_on_partition(u_h, edges, gx)
-    du = vals.ravel() - problem.exact.u(xq)
-    dg = gvals.ravel() - problem.exact.uprime(xq)
-    samples = WeightedSampleSet(xq, wq)
+    samples, _ = volume_samples(Mesh1D(_error_partition(mesh, layer)), points_per_panel)
+    xq, wq = samples.xs, samples.weights
+    du = u_h(xq) - problem.exact.u(xq)
+    dg = elementwise_gradient(u_h)(xq) - problem.exact.uprime(xq)
     l1 = float(np.sum(wq * np.abs(du)))
     lux = luxemburg_norm(samples, du, problem.p)
     glux = luxemburg_norm(samples, dg, problem.p)
@@ -163,13 +138,16 @@ def load_problem_file(path):
         raise ValueError(f"unknown problem keys: {sorted(unknown)}")
     if "p" not in opts:
         raise ValueError("problem file needs the exponent field p")
+    xi = opts.get("xi", "none")
+    if xi not in _XI_SAMPLES:
+        raise ValueError(f"unknown xi {xi!r}; expected one of {sorted(_XI_SAMPLES)}")
     out = {
         "p": ExponentField.from_text(opts["p"]),
         "q": ExponentField.from_text(opts["q"]) if "q" in opts else None,
         "r": ExponentField.from_text(opts["r"]) if "r" in opts else None,
         "dirichlet": opts.get("dirichlet", "both"),
         "fidelity_on": opts.get("fidelity", "off") == "on",
-        "xi": _XI_SAMPLES[opts.get("xi", "none")],
+        "xi": _XI_SAMPLES[xi],
         "u_D": {},
         "domain": tuple(float(t) for t in opts.get("domain", "-1,1").split(",")),
     }

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .broken import (
+    BrokenFunction,
     broken_seminorm,
+    embed_refine,
     interpolate,
     inverse_estimate_check,
     total_variation,
@@ -75,8 +77,6 @@ def _random_samples(rng):
 
 def _random_broken(rng, mesh, degree=1, scale=1.0):
     ne = mesh.n_elements
-    from .broken import BrokenFunction
-
     return BrokenFunction(mesh, degree, scale * rng.normal(size=(ne, degree + 1)))
 
 
@@ -209,8 +209,6 @@ def suite_lifting(rng, break_h=False, levels=5):
     # support locality: one interior jump lifts only onto its two neighbors
     coeffs = np.zeros((base.n_elements, 2))
     coeffs[base.n_elements // 2:, :] = 1.0
-    from .broken import BrokenFunction
-
     step = BrokenFunction(base, 1, coeffs)
     Rs = lift(step)
     f = base.n_elements // 2 - 1
@@ -249,8 +247,6 @@ def suite_reconstruction(rng, break_h=False):
     u0 = interpolate(base, 1, lambda x: np.sin(np.pi * x))
     u0.coeffs[6:, :] += 1e-3  # small persistent jump at a coarse face
     errs, hs, ratios = [], [], []
-    from .broken import embed_refine
-
     u = u0
     for _ in range(5):
         rep = reconstruction_error_report(u, p, p)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .broken import BrokenFunction, elementwise_gradient, jumps
+from .broken import BrokenFunction, broken_seminorm, elementwise_gradient, jumps
 from .exponents import WeightedSampleSet, luxemburg_norm
 from .meshes import face_neighborhoods
 from .quadrature import composite_points, gauss_legendre
@@ -114,8 +114,6 @@ def reconstruction_error_report(u, p, q, points_per_element=None):
     vol_error = luxemburg_norm(vol, diff.ravel(), q)
     grad_vals = elementwise_gradient(Q).values_at_ref(gx)
     grad_norm = luxemburg_norm(vol, grad_vals.ravel(), p)
-    from .broken import broken_seminorm
-
     semi = broken_seminorm(u, p)
     h = u.mesh.element_sizes
     rows = []

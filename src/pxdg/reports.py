@@ -1,5 +1,6 @@
 """CSV emission for solves and convergence sweeps. Floats carry 17 significant digits."""
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass, fields
@@ -33,8 +34,6 @@ def _orders(ns, values):
     out = []
     for (n0, v0), (n1, v1) in zip(zip(ns, values), list(zip(ns, values))[1:]):
         if v0 > 0.0 and v1 > 0.0 and n1 != n0:
-            import math
-
             out.append(math.log(v0 / v1) / math.log(n1 / n0))
         else:
             out.append(float("nan"))

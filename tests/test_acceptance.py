@@ -2,8 +2,8 @@
 
 Criterion 3 encodes the asymptotic decay statements at desk-scale meshes; on
 this benchmark the required quantities do not decay in that regime (see
-notes/decisions.md at the repository root of the review bundle), so that test
-is expected to fail honestly while everything else passes.
+README "Expected acceptance outcome"), so that test is expected to fail
+honestly while everything else passes.
 """
 
 import time

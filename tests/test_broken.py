@@ -39,6 +39,18 @@ def test_evaluate_examples():
     assert evaluate(s, 0.5, "right") == 3.0
     hat = interpolate(m, 1, lambda x: 1 - np.abs(2 * x - 1), continuous=True)
     assert evaluate(hat, 0.5, "left") == evaluate(hat, 0.5, "right") == 1.0
+    # an array of points gives the scalar values bitwise, nodes included
+    xs = np.array([0.0, 0.1, 0.25, 0.5, 0.7, 1.0])
+    cubic = interpolate(m, 3, lambda x: np.sin(3 * x))
+    for f in (u, s, hat, cubic):
+        for side in ("left", "right"):
+            vals = evaluate(f, xs, side)
+            assert vals.shape == xs.shape
+            assert np.array_equal(vals, [evaluate(f, x, side) for x in xs])
+        assert np.array_equal(f(xs.reshape(2, 3)), evaluate(f, xs).reshape(2, 3))
+    elems = np.array([0, 0, 0, 0, 1, 1])  # the node 0.5 read from the left element
+    assert np.array_equal(evaluate(s, xs, elems), [evaluate(s, x, int(e)) for x, e in zip(xs, elems)])
+    assert np.array_equal(evaluate(s, xs, elems), [1.0, 1.0, 1.0, 1.0, 3.0, 3.0])
 
 
 def test_gradient_examples():

@@ -81,9 +81,18 @@ def test_unknown_suite_is_config_error():
     assert main(["properties", "--suite", "nope"]) == 3
 
 
-def test_unknown_problem_is_config_error(tmp_path):
-    assert main(["solve", "--method", "dg", "--n", "4",
-                 "--problem", "wat", "--out", str(tmp_path)]) == 3
+def test_unknown_problem_is_config_error(tmp_path, capsys):
+    # an unknown problem name, an unknown xi, and an exponent field missing a key
+    bad_xi = tmp_path / "bad_xi.spec"
+    bad_xi.write_text("p = kind=const value=2\nxi = bogus\n")
+    no_a = tmp_path / "no_a.spec"
+    no_a.write_text("p = kind=hat eps=0.01\n")
+    for problem, named in (("wat", "'wat'"), (f"custom:{bad_xi}", "'bogus'"),
+                           (f"custom:{no_a}", "'a'")):
+        assert main(["solve", "--method", "dg", "--n", "4",
+                     "--problem", problem, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and named in err
 
 
 def test_config_file_with_flag_precedence(tmp_path, const2_spec):
@@ -96,12 +105,6 @@ def test_config_file_with_flag_precedence(tmp_path, const2_spec):
     assert code == 0
     rows = open(os.path.join(out, "solution.csv")).read().strip().split("\n")
     assert len(rows) == 1 + 4 * 2
-
-
-def test_workers_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("PXDG_WORKERS", "2")
-    out = str(tmp_path / "conv")
-    assert main(["convergence", "--ns", "10,20", "--out", out]) == 0
 
 
 def test_convergence_custom_problem_order(tmp_path, const2_spec):

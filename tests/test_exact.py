@@ -42,6 +42,12 @@ def test_eval_examples(bench):
         um, upm = eval_exact(bench, -x0)
         up_, upp = eval_exact(bench, x0)
         assert um == -up_ and upm == upp
+    a = bench.a
+    xs = np.array([0.0, a, -a, 1.0, -1.0, 0.3, -0.007, 0.5 * a, -1e-7, 0.94])
+    us = bench.u(xs)
+    assert np.array_equal(us, [bench.u(float(x)) for x in xs])
+    assert np.array_equal(bench.u(-xs), -us)
+    assert np.array_equal(bench.u(xs.reshape(2, 5)), us.reshape(2, 5))
 
 
 def test_domain_error(bench):

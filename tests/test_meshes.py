@@ -87,3 +87,11 @@ def test_element_lookup_sides():
     assert m.element_of(0.5, "right") == 2
     with pytest.raises(ValueError):
         m.element_of(2.0)
+    xs = np.array([0.0, 0.1, 0.25, 0.5, 1.0])
+    left, right = m.element_of(xs, "left"), m.element_of(xs, "right")
+    assert left.dtype.kind == "i" and right.dtype.kind == "i"
+    assert left.tolist() == [0, 0, 0, 1, 3] and right.tolist() == [0, 0, 1, 2, 3]
+    assert left.tolist() == [m.element_of(x, "left") for x in xs]
+    assert isinstance(m.element_of(0.5), int)
+    with pytest.raises(ValueError):
+        m.element_of(np.array([0.5, -0.1, 0.7]))
