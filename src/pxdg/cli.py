@@ -88,10 +88,12 @@ def _build_parser():
     pp.add_argument("--out", default=None, help="also write a CSV report")
     pp.add_argument("--debug-break-h", action="store_true", dest="break_h",
                     help="corrupt the face-size function (negative control)")
-    return ap
+    return ap, sub.choices
 
 
-def _apply_config_file(args, argv):
+def _apply_config_file(args, argv, parser):
+    """Fill args from the --config file; each value is converted by the type of
+    the subcommand parser's action for that key."""
     if not getattr(args, "config", None):
         return args
     overrides = {}
@@ -104,18 +106,20 @@ def _apply_config_file(args, argv):
             overrides[key.strip().replace("-", "_")] = val.strip()
     argv_keys = {a.lstrip("-").split("=")[0].replace("-", "_")
                  for a in argv if a.startswith("--")}
+    actions = {a.dest: a for a in parser._actions}
     for key, val in overrides.items():
-        if key in argv_keys or not hasattr(args, key):
-            continue  # flags win; unknown keys are ignored only if absent on args
-        cur = getattr(args, key)
-        if isinstance(cur, bool):
-            setattr(args, key, val.lower() in ("1", "true", "on", "yes"))
-        elif isinstance(cur, int):
-            setattr(args, key, int(val))
-        elif isinstance(cur, float):
-            setattr(args, key, float(val))
-        else:
-            setattr(args, key, val)
+        if key in argv_keys or key not in actions:
+            continue  # flags win; unknown keys are ignored
+        action = actions[key]
+        if isinstance(action.default, bool):
+            val = val.lower() in ("1", "true", "on", "yes")
+        elif action.type is not None:
+            try:
+                val = action.type(val)
+            except ValueError:
+                raise ValueError(f"{key} = {val!r} in {args.config} is not "
+                                 f"a valid {action.type.__name__}") from None
+        setattr(args, key, val)
     return args
 
 
@@ -299,11 +303,12 @@ def cmd_properties(args):
 
 
 def main(argv=None):
-    ap = _build_parser()
+    ap, subparsers = _build_parser()
     try:
         args = ap.parse_args(argv)
-        args = _apply_config_file(args, argv if argv is not None else sys.argv[1:])
-    except OSError as exc:
+        args = _apply_config_file(args, argv if argv is not None else sys.argv[1:],
+                                  subparsers[args.command])
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     handlers = {

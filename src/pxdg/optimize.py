@@ -69,12 +69,28 @@ class _LineSearchFailure(Exception):
     pass
 
 
+# Relative energy change below which a trial energy equals f0 to rounding.
+FLAT_RTOL = 1e-12
+
+
 def _wolfe_search(fg, x, p, f0, dphi0, c1, c2, max_iter=60):
-    """Strong Wolfe step along p; returns (alpha, f, g, n_evals)."""
+    """Strong Wolfe step along p; returns (alpha, f, g, n_evals).
+
+    Where the trial energy equals f0 to rounding (``FLAT_RTOL``), the decrease
+    tests only compare rounding noise: they are skipped, and the step is judged
+    by its slope alone with the approximate Wolfe condition of Hager & Zhang
+    (SIAM J. Optim. 16, 2005), ``d <= (2 c1 - 1) dphi0``.
+    """
 
     def phi(alpha):
         f, g = fg(x + alpha * p)
         return f, g, float(g @ p)
+
+    def flat(f):
+        return abs(f - f0) <= FLAT_RTOL * abs(f0)
+
+    def acceptable(d, level):
+        return abs(d) <= -c2 * dphi0 and (not level or d <= (2.0 * c1 - 1.0) * dphi0)
 
     evals = 0
 
@@ -84,10 +100,12 @@ def _wolfe_search(fg, x, p, f0, dphi0, c1, c2, max_iter=60):
             alpha = 0.5 * (lo + hi)
             f, g, d = phi(alpha)
             evals += 1
-            if not np.isfinite(f) or f > f0 + c1 * alpha * dphi0 or f >= f_lo:
+            level = flat(f)
+            if not level and (not np.isfinite(f) or f > f0 + c1 * alpha * dphi0
+                              or f >= f_lo):
                 hi, f_hi = alpha, f
             else:
-                if abs(d) <= -c2 * dphi0:
+                if acceptable(d, level):
                     return alpha, f, g
                 if d * (hi - lo) >= 0.0:
                     hi, f_hi = lo, f_lo
@@ -105,10 +123,12 @@ def _wolfe_search(fg, x, p, f0, dphi0, c1, c2, max_iter=60):
     for it in range(max_iter):
         f, g, d = phi(alpha)
         evals += 1
-        if not np.isfinite(f) or f > f0 + c1 * alpha * dphi0 or (f >= f_prev and it > 0):
+        level = flat(f)
+        if not level and (not np.isfinite(f) or f > f0 + c1 * alpha * dphi0
+                          or (f >= f_prev and it > 0)):
             out = zoom(alpha_prev, f_prev, d_prev, alpha, f)
             return (*out, evals)
-        if abs(d) <= -c2 * dphi0:
+        if acceptable(d, level):
             return alpha, f, g, evals
         if d >= 0.0:
             out = zoom(alpha, f, d, alpha_prev, f_prev)
@@ -119,8 +139,11 @@ def _wolfe_search(fg, x, p, f0, dphi0, c1, c2, max_iter=60):
 
 
 class _DenseBfgs:
+    """Inverse-Hessian BFGS model; each update is one rank-2 update of H in place."""
+
     def __init__(self, n):
         self.H = np.eye(n)
+        self.work = np.empty((n, n))
         self.first = True
 
     def direction(self, g):
@@ -136,13 +159,15 @@ class _DenseBfgs:
         rho = 1.0 / sy
         Hy = self.H @ y
         yHy = float(y @ Hy)
-        self.H -= rho * (np.outer(s, Hy) + np.outer(Hy, s))
-        self.H += rho * (1.0 + rho * yHy) * np.outer(s, s)
+        # H+ = H - rho (s Hy^T + Hy s^T) + rho (1 + rho yHy) s s^T = H + u s^T + s u^T
+        u = (0.5 * rho * (1.0 + rho * yHy)) * s - rho * Hy
+        np.matmul(np.column_stack((u, s)), np.vstack((s, u)), out=self.work)
+        self.H += self.work
         return True
 
     def reset(self):
-        n = self.H.shape[0]
-        self.H = np.eye(n)
+        self.H.fill(0.0)
+        np.fill_diagonal(self.H, 1.0)
         self.first = True
 
 

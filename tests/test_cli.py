@@ -107,6 +107,28 @@ def test_config_file_with_flag_precedence(tmp_path, const2_spec):
     assert len(rows) == 1 + 4 * 2
 
 
+def test_config_file_values_take_the_flag_type(tmp_path, const2_spec):
+    # --l defaults to None: its file value must still become an int, and act as --l
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"problem = custom:{const2_spec}\nl = 2\n")
+    outs = [str(tmp_path / "file"), str(tmp_path / "flag")]
+    assert main(["solve", "--n", "4", "--config", str(cfgfile), "--out", outs[0]]) == 0
+    assert main(["solve", "--n", "4", "--problem", f"custom:{const2_spec}", "--l", "2",
+                 "--out", outs[1]]) == 0
+    file_terms, flag_terms = (open(os.path.join(o, "terms.csv")).read() for o in outs)
+    assert file_terms == flag_terms
+
+
+def test_unparsable_config_value_is_config_error(tmp_path, const2_spec, capsys):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"problem = custom:{const2_spec}\nmax-iters = abc\n")
+    code = main(["solve", "--n", "4", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "run")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "max_iters" in err and "'abc'" in err
+
+
 def test_convergence_custom_problem_order(tmp_path, const2_spec):
     # classical p = 2 case: reference comes from the finest mesh, order about 1
     out = str(tmp_path / "conv")

@@ -5,7 +5,7 @@ from pxdg.broken import interpolate, jumps
 from pxdg.exponents import ExponentField
 from pxdg.functional import FunctionalSpec, eval_discrete
 from pxdg.meshes import uniform_mesh
-from pxdg.optimize import BfgsConfig, bfgs_minimize, solve_cg, solve_dg
+from pxdg.optimize import FLAT_RTOL, BfgsConfig, _DenseBfgs, bfgs_minimize, solve_cg, solve_dg
 
 P2 = ExponentField.constant(2.0)
 
@@ -49,6 +49,44 @@ def test_config_validation():
         BfgsConfig(c1=0.5, c2=0.1)
     with pytest.raises(ValueError):
         BfgsConfig(grad_tol=0.0)
+
+
+def test_dense_update_is_textbook_bfgs_in_place():
+    rng = np.random.default_rng(3)
+    n = 9
+    model = _DenseBfgs(n)
+    H, work = model.H, model.work
+    M = rng.normal(size=(n, n))
+    H[...] = M @ M.T + np.eye(n)
+    model.first = False
+    for _ in range(6):
+        s = rng.normal(size=n)
+        y = s + 0.3 * rng.normal(size=n)
+        assert s @ y > 0.0
+        rho = 1.0 / (s @ y)
+        V = np.eye(n) - rho * np.outer(y, s)
+        want = V.T @ H @ V + rho * np.outer(s, s)
+        assert model.update(s, y)
+        assert model.H is H and model.work is work
+        assert np.max(np.abs(H - want)) <= 1e-13 * np.max(np.abs(want))
+    model.reset()
+    assert model.H is H and model.work is work and model.first
+    assert np.array_equal(H, np.eye(n))
+    assert not np.shares_memory(H, work)
+
+
+def test_float_floor_is_not_a_line_search_failure():
+    # The stiff component's energy is visible; the soft ones are below the float64
+    # resolution of the offset 2, so reaching grad_tol in them never moves f.
+    A = np.diag([1.0, 1e-4, 1e-3])
+    x0 = np.array([1e-6, 1e-7, 1e-7])
+    assert 0.5 * (A[1:, 1:] @ x0[1:]) @ x0[1:] < np.spacing(2.0)
+    res = bfgs_minimize(lambda x: 2.0 + 0.5 * x @ A @ x, lambda x: A @ x, x0,
+                        BfgsConfig(grad_tol=1e-12))
+    assert res.converged and res.line_search_failures == 0
+    assert np.max(np.abs(A @ res.x)) <= 1e-12 * (1.0 + np.max(np.abs(A @ x0)))
+    hist = np.array(res.f_history)
+    assert np.all(np.diff(hist) <= FLAT_RTOL * np.abs(hist[:-1]))
 
 
 def test_lbfgs_matches_dense_on_quadratic():
