@@ -1,8 +1,9 @@
 """pxdg command line: solve | convergence | compare | exact | properties.
 
 Options can come from a line-oriented key=value config file (--config); flags
-win over file entries.  Exit codes: 0 success, 1 solver non-convergence,
-2 property failure, 3 configuration error.
+win over file entries.  Exit codes: 0 success, 1 solver non-convergence (or a
+solve that diverged, reported as "solve error"), 2 property failure,
+3 configuration error.
 """
 
 import argparse
@@ -194,7 +195,7 @@ def cmd_solve(args):
                        payload if kind == "paper1d" else None,
                        title=f"{args.method} n={mesh.n_elements}")
     print(f"{args.method} n={mesh.n_elements}: energy={rep.breakdown.total:.17g} "
-          f"iters={rep.iterations} converged={rep.converged}")
+          f"iters={rep.iterations} converged={rep.converged} stop={rep.stop_reason}")
     return EXIT_OK if rep.converged else EXIT_NO_CONVERGENCE
 
 
@@ -320,6 +321,9 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
+    except ArithmeticError as exc:
+        print(f"solve error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

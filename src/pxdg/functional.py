@@ -24,10 +24,15 @@ default, Gauss on request).
 The assembly stacks the terms into one CSR matrix.  The value, the gradient
 A^T (w s |t|^{s-2} t / d) with t = A x - b (zero where t = 0), and the per-term
 breakdown each take one product with it, and sum the terms' row segments in
-list order.
+list order.  ``hess`` gives the relaxed Kacanov matrix
+A^T diag(w s max(|t|, eps)^{s-2} / d) A, or the Hessian with the extra factor
+s - 1, in band storage: every row of A couples
+a few neighbouring DOFs, so the matrix is banded, and its pattern is fixed, so
+one sparse map takes the term weights to the band.
 """
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -247,6 +252,43 @@ class _Assembly:
 
     def gradient(self, v):
         return self.value_and_grad(v)[1]
+
+    @cached_property
+    def _band_map(self):
+        """(M, m): M maps term weights c to the lower band of A^T diag(c) A,
+        flattened with H[i + k, i] at k * n + i for the n columns of A; m is the
+        half-bandwidth."""
+        A = self.A
+        nnz_row = np.diff(A.indptr)
+        width = int(nnz_row.max())
+        # every ordered pair (p, q) of stored entries of one row, with col p >= col q
+        p = np.repeat(np.arange(A.nnz), width)
+        row = np.repeat(np.arange(A.shape[0]), nnz_row)[p]
+        o = np.tile(np.arange(width), A.nnz)
+        keep = o < nnz_row[row]
+        p, row = p[keep], row[keep]
+        q = A.indptr[row] + o[keep]
+        lower = A.indices[p] >= A.indices[q]
+        p, q, row = p[lower], q[lower], row[lower]
+        off = A.indices[p] - A.indices[q]
+        m = int(off.max())
+        n = A.shape[1]
+        M = sp.csr_matrix((A.data[p] * A.data[q], (off * n + A.indices[q], row)),
+                          shape=((m + 1) * n, A.shape[0]))
+        return M, m
+
+    def hess(self, x, eps, newton=False):
+        """The relaxed Kacanov matrix A^T diag(w s max(|t|, eps)^{s-2} / d) A at
+        t = A x - b, as its lower band: an (m + 1, n) array with H[i + k, i] in
+        row k, column i.  For s <= 2 its quadratic model majorizes the energy
+        when eps = 0; at s = 2 it is the Hessian.  ``newton`` multiplies each
+        weight by s - 1, which gives the Hessian wherever |t| >= eps."""
+        t = np.abs(self.A @ x - self.b)
+        c = self.w * self.s * np.maximum(t, eps) ** (self.s - 2.0) / self.d
+        if newton:
+            c *= self.s - 1.0
+        M, m = self._band_map
+        return (M @ c).reshape(m + 1, -1)
 
     def broken_to_unique(self, v):
         out = np.zeros(self.n_unique)

@@ -1,11 +1,20 @@
-"""Quasi-Newton minimization: BFGS with a strong Wolfe line search, plus the
-limited-memory variant for large DOF counts, and the DG/CG solve drivers.
+"""Minimization of the DG/CG energies by relaxed Kacanov steps, and BFGS for
+generic callables, both with a strong Wolfe line search.
+
+Every energy here is a sum of terms ``w |(A x - b)|^s / d`` whose rows couple a
+few neighbouring DOFs, so the relaxed Kacanov matrix
+``A^T diag(w s max(|t|, eps)^{s-2} / d) A`` is banded and symmetric positive
+definite.  ``solve_dg`` and ``solve_cg`` take each step from one banded solve with
+it (Diening, Fornasier, Tomasi & Wank, Numer. Math. 145, 2020: for s <= 2 its
+quadratic model majorizes the energy), shrinking eps tenfold per step from
+max|t| to ``EPS_FLOOR`` max|t| and then switching to the Newton weights
+(the factor s - 1) near the minimum.  ``bfgs_minimize`` keeps a dense
+inverse-Hessian BFGS model for callables without that structure.
 
 Everything is deterministic: identical inputs produce identical iterates.
 """
 
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +33,6 @@ class BfgsConfig:
     c1: float = 1e-4
     c2: float = 0.9
     initial_guess: object = "linear_interp"  # "zero" | "linear_interp" | array
-    lbfgs_threshold: int = 2000
-    lbfgs_memory: int = 20
 
     def __post_init__(self):
         if not (0.0 < self.c1 < self.c2 < 1.0):
@@ -44,6 +51,7 @@ class MinimizeResult:
     f_history: list
     line_search_failures: int
     n_evals: int
+    stop_reason: str
 
 
 @dataclass
@@ -55,6 +63,8 @@ class SolveReport:
     grad_norm_history: list
     f_history: list
     line_search_failures: int
+    n_evals: int
+    stop_reason: str
     wall_time: float
     method: str
 
@@ -71,6 +81,9 @@ class _LineSearchFailure(Exception):
 
 # Relative energy change below which a trial energy equals f0 to rounding.
 FLAT_RTOL = 1e-12
+# Steps in which neither the energy falls beyond FLAT_RTOL nor max|g| halves,
+# after which a run has stalled.
+STALL_ITERS = 20
 
 
 def _wolfe_search(fg, x, p, f0, dphi0, c1, c2, max_iter=60):
@@ -146,7 +159,7 @@ class _DenseBfgs:
         self.work = np.empty((n, n))
         self.first = True
 
-    def direction(self, g):
+    def direction(self, x, f, g):
         return -(self.H @ g)
 
     def update(self, s, y):
@@ -166,58 +179,163 @@ class _DenseBfgs:
         return True
 
     def reset(self):
+        """Back to the identity; True if that discarded curvature information."""
+        had = not self.first
         self.H.fill(0.0)
         np.fill_diagonal(self.H, 1.0)
         self.first = True
+        return had
 
 
-class _LimitedMemoryBfgs:
-    def __init__(self, n, memory):
-        self.pairs = deque(maxlen=memory)
-        self.gamma = 1.0
+# Floor of the Kacanov relaxation eps, relative to max|A x - b|.
+EPS_FLOOR = 1e-14
+# Relative energy change of a step at the eps floor below which Kacanov steps
+# switch to Newton weights.
+NEWTON_RTOL = 1e-10
 
-    def direction(self, g):
-        q = g.copy()
-        alphas = []
-        for s, y, rho in reversed(self.pairs):
-            a = rho * float(s @ q)
-            q -= a * y
-            alphas.append(a)
-        q *= self.gamma
-        for (s, y, rho), a in zip(self.pairs, reversed(alphas)):
-            b = rho * float(y @ q)
-            q += (a - b) * s
-        return -q
+
+def _band_blocks(ab, n):
+    """The band matrix ``ab`` (H[i + k, i] in row k, column i) as a block
+    tridiagonal (A, B, C) of m x m blocks: B[i] on the diagonal, A[i] coupling
+    block i to i - 1, C[i] = A[i + 1]^T to i + 1.  Identity rows pad it to
+    2^k - 1 blocks; band entries that reach below row n are ignored."""
+    m = ab.shape[0] - 1
+    b = max(m, 1)
+    N = 2 ** (-(-n // b)).bit_length() - 1
+    band = np.zeros((m + 1, N * b))
+    band[0, n:] = 1.0
+    band[:, :n] = np.where(np.arange(n) + np.arange(m + 1)[:, None] < n, ab[:, :n], 0.0)
+    A = np.zeros((N, b, b))
+    B = np.empty((N, b, b))
+    for r in range(b):
+        for c in range(b):
+            B[:, r, c] = band[abs(r - c)].reshape(N, b)[:, min(r, c)]
+            if b + r - c <= m:
+                A[1:, r, c] = band[b + r - c].reshape(N, b)[:-1, c]
+    C = np.zeros_like(A)
+    C[:-1] = A[1:].transpose(0, 2, 1)
+    return A, B, C
+
+
+def _pivot_solve(B, X):
+    """B^{-1} X for a stack of blocks, by elimination without row exchanges.
+
+    Its pivots are the D of B = L D L^T: it raises ``np.linalg.LinAlgError``
+    unless every pivot is positive and finite, that is unless B is SPD.
+    """
+    b = B.shape[1]
+    M = np.concatenate((B, X), axis=2)
+    for j in range(b):
+        piv = M[:, j, j, None]
+        if not ((piv > 0.0) & (piv < np.inf)).all():
+            raise np.linalg.LinAlgError("non-positive or non-finite pivot")
+        M[:, j, j + 1:] /= piv
+        M[:, j + 1:, j + 1:] -= M[:, j + 1:, j, None] * M[:, j, None, j + 1:]
+    for j in range(b - 1, 0, -1):
+        M[:, :j, b:] -= M[:, :j, j, None] * M[:, j, None, b:]
+    return M[:, :, b:]
+
+
+def _cyclic_reduction(A, B, C, r):
+    """Solve the 2^k - 1 block rows A[i] x[i-1] + B[i] x[i] + C[i] x[i+1] = r[i]
+    by eliminating the even blocks and recursing on the odd ones, each of which
+    has two even neighbours.  This is the block LDL^T factorization in odd-even
+    order, with the even diagonal blocks of each level as its pivot blocks."""
+    b = B.shape[1]
+    E = _pivot_solve(B[0::2], np.concatenate((A[0::2], C[0::2], r[0::2, :, None]), axis=2))
+    if len(B) == 1:
+        return E[..., 2 * b]
+    # E = B_even^{-1} [A C r]; an odd block j couples to even blocks j and j + 1
+    LE = A[1::2] @ E[:-1]
+    RE = C[1::2] @ E[1:]
+    xo = _cyclic_reduction(-LE[..., :b],
+                           B[1::2] - LE[..., b:2 * b] - RE[..., :b],
+                           -RE[..., b:2 * b],
+                           r[1::2] - LE[..., 2 * b] - RE[..., 2 * b])
+    xo = np.concatenate((np.zeros((1, b)), xo, np.zeros((1, b))))
+    neighbours = np.concatenate((xo[:-1], xo[1:]), axis=1)[..., None]
+    x = np.empty_like(r)
+    x[0::2] = E[..., 2 * b] - (E[..., :2 * b] @ neighbours)[..., 0]
+    x[1::2] = xo[1:-1]
+    return x
+
+
+def _band_solve(ab, rhs):
+    """Solve H x = rhs for the SPD band matrix H given by its lower band ``ab``.
+
+    Raises ``np.linalg.LinAlgError`` on a non-positive or non-finite pivot, so a
+    failed factorization never yields a step.
+    """
+    n = rhs.size
+    A, B, C = _band_blocks(ab, n)
+    r = np.zeros(B.shape[0] * B.shape[1])
+    r[:n] = rhs
+    x = _cyclic_reduction(A, B, C, r.reshape(B.shape[:2])).ravel()[:n]
+    if not np.all(np.isfinite(x)):
+        raise np.linalg.LinAlgError("non-finite solution")
+    return x
+
+
+class _Kacanov:
+    """Relaxed Kacanov steps: solve hess(x, eps) p = -g, with eps = max|t| at the
+    first step and max(eps / 10, EPS_FLOOR max|t|) after each step.  Once eps is
+    at its floor and a step changed the energy by at most NEWTON_RTOL relative,
+    the weights take the factor s - 1 of the Hessian for the rest of the run."""
+
+    def __init__(self, hess, residual_max):
+        self.hess = hess
+        self.residual_max = residual_max
+        self.eps = None
+        self.f = None
+        self.newton = False
+
+    def direction(self, x, f, g):
+        tmax = self.residual_max(x)
+        if self.eps is None:
+            self.eps = tmax
+        else:
+            floor = EPS_FLOOR * tmax
+            self.eps = max(self.eps / 10.0, floor)
+            self.newton |= self.eps == floor and abs(self.f - f) <= NEWTON_RTOL * abs(f)
+        self.f = f
+        return _band_solve(self.hess(x, self.eps, self.newton), -g)
 
     def update(self, s, y):
-        sy = float(s @ y)
-        if sy <= 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-            return False
-        self.pairs.append((s, y, 1.0 / sy))
-        self.gamma = sy / float(y @ y)
-        return True
+        """Kacanov steps keep no curvature pairs."""
 
     def reset(self):
-        self.pairs.clear()
-        self.gamma = 1.0
+        """Nothing to discard; steepest descent still differs from the step."""
+        return True
 
 
-def _minimize(fg, x0, cfg):
+def _minimize(fg, x0, cfg, model):
+    """Line-search descent along ``model.direction``.
+
+    Ends converged at ``max|g| <= grad_tol (1 + max|g0|)``, or unconverged with
+    ``stop_reason`` "max_iters", "line_search_failed" (also after one retry from
+    steepest descent), "bad_pivot" (the step matrix is not SPD) or "stalled"
+    (in ``STALL_ITERS`` steps the energy fell by no more than rounding,
+    ``FLAT_RTOL``, and max|g| did not halve).
+    """
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
     f, g = fg(x)
     evals = 1
     g0max = float(np.max(np.abs(g))) if n else 0.0
     tol = cfg.grad_tol * (1.0 + g0max)
-    model = (_DenseBfgs(n) if n <= cfg.lbfgs_threshold
-             else _LimitedMemoryBfgs(n, cfg.lbfgs_memory))
     f_hist = [f]
     g_hist = [g0max]
     failures = 0
     converged = float(np.max(np.abs(g))) <= tol
+    stop = "max_iters"
+    f_ref, g_ref, flat_steps = f, g0max, 0
     it = 0
     while not converged and it < cfg.max_iters:
-        p = model.direction(g)
+        try:
+            p = model.direction(x, f, g)
+        except np.linalg.LinAlgError:
+            stop = "bad_pivot"
+            break
         dphi0 = float(g @ p)
         if not np.isfinite(dphi0) or dphi0 >= 0.0:
             model.reset()
@@ -227,17 +345,16 @@ def _minimize(fg, x0, cfg):
             alpha, fnew, gnew, ev = _wolfe_search(fg, x, p, f, dphi0, cfg.c1, cfg.c2)
         except _LineSearchFailure:
             failures += 1
-            if isinstance(model, _DenseBfgs) and not model.first or \
-               isinstance(model, _LimitedMemoryBfgs) and model.pairs:
-                model.reset()  # retry once from steepest descent
-                p = -g
-                try:
-                    alpha, fnew, gnew, ev = _wolfe_search(fg, x, p, f, float(g @ p),
-                                                          cfg.c1, cfg.c2)
-                except _LineSearchFailure:
-                    failures += 1
-                    break
-            else:
+            if not model.reset():
+                stop = "line_search_failed"
+                break
+            p = -g  # retry once from steepest descent
+            try:
+                alpha, fnew, gnew, ev = _wolfe_search(fg, x, p, f, float(g @ p),
+                                                      cfg.c1, cfg.c2)
+            except _LineSearchFailure:
+                failures += 1
+                stop = "line_search_failed"
                 break
         evals += ev
         s = alpha * p
@@ -250,7 +367,16 @@ def _minimize(fg, x0, cfg):
         f_hist.append(f)
         g_hist.append(gmax)
         converged = gmax <= tol
-    return MinimizeResult(x, f, it, converged, g_hist, f_hist, failures, evals)
+        if f_ref - f > FLAT_RTOL * abs(f_ref) or gmax <= 0.5 * g_ref:
+            f_ref, g_ref, flat_steps = f, gmax, 0
+        else:
+            flat_steps += 1
+            if flat_steps >= STALL_ITERS and not converged:
+                stop = "stalled"
+                break
+    if converged:
+        stop = "converged"
+    return MinimizeResult(x, f, it, converged, g_hist, f_hist, failures, evals, stop)
 
 
 def bfgs_minimize(f, g, x0, cfg=None):
@@ -260,7 +386,7 @@ def bfgs_minimize(f, g, x0, cfg=None):
     def fg(x):
         return f(x), np.asarray(g(x), dtype=float)
 
-    return _minimize(fg, x0, cfg)
+    return _minimize(fg, x0, cfg, _DenseBfgs(np.size(x0)))
 
 
 def _line_through_data(spec):
@@ -301,20 +427,28 @@ def _solve(spec, k, cfg, method):
     asm = (continuous_assembly if continuous else discrete_assembly)(spec, k)
     x = _initial_dofs(spec, k, cfg, asm, continuous)
     free = slice(None)
-    fg = asm.value_and_grad
     if continuous:
+        # the pinned DOFs are end nodes, so the free ones stay one contiguous band
         pinned = dict(asm.dirichlet_dofs)
         for dof, val in pinned.items():
             x[dof] = val
-        free = np.array([i for i in range(asm.n_unique) if i not in pinned], dtype=int)
+        free = slice(int(0 in pinned), x.size - int(x.size - 1 in pinned))
 
-        def fg(xfree):
-            x[free] = xfree
-            val, grad = asm.value_and_grad(x)
-            return val, grad[free]
+    def fg(xfree):
+        x[free] = xfree
+        val, grad = asm.value_and_grad(x)
+        return val, grad[free]
+
+    def hess(xfree, eps, newton):
+        x[free] = xfree
+        return asm.hess(x, eps, newton)[:, free]
+
+    def residual_max(xfree):
+        x[free] = xfree
+        return float(np.max(np.abs(asm.A @ x - asm.b)))
 
     t0 = time.perf_counter()
-    res = _minimize(fg, x[free].copy(), cfg)
+    res = _minimize(fg, x[free].copy(), cfg, _Kacanov(hess, residual_max))
     wall = time.perf_counter() - t0
     x[free] = res.x
     if not np.all(np.isfinite(x)) or not np.isfinite(res.fun):
@@ -323,7 +457,7 @@ def _solve(spec, k, cfg, method):
     u = BrokenFunction.from_dofs(spec.mesh, k, dofs, continuous=continuous)
     return SolveReport(u, asm.terms(x), res.iterations, res.converged,
                        res.grad_norm_history, res.f_history,
-                       res.line_search_failures, wall, method)
+                       res.line_search_failures, res.n_evals, res.stop_reason, wall, method)
 
 
 def solve_dg(spec, k, cfg=None):

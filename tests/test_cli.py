@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 import xml.dom.minidom
 
 import pytest
 
+from pxdg import cli
 from pxdg.cli import main
 
 
@@ -20,7 +23,7 @@ def test_solve_custom_sanity(tmp_path, const2_spec, capsys):
     assert code == 0
     for name in ("solution.csv", "terms.csv", "trace.csv"):
         assert os.path.exists(os.path.join(out, name))
-    assert "converged=True" in capsys.readouterr().out
+    assert "converged=True stop=converged" in capsys.readouterr().out
 
 
 def test_solve_paper_writes_errors_and_plot(tmp_path):
@@ -31,6 +34,27 @@ def test_solve_paper_writes_errors_and_plot(tmp_path):
     assert os.path.exists(os.path.join(out, "errors.csv"))
     doc = xml.dom.minidom.parse(os.path.join(out, "solution.svg"))
     assert doc.getElementsByTagName("polyline")
+
+
+def test_diverged_solve_is_a_solve_error(tmp_path, const2_spec, capsys, monkeypatch):
+    def diverge(spec, k, cfg):
+        raise ArithmeticError("DG solve diverged to a non-finite state")
+
+    monkeypatch.setattr(cli, "solve_dg", diverge)
+    code = main(["solve", "--method", "dg", "--n", "4",
+                 "--problem", f"custom:{const2_spec}", "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err.startswith("solve error: DG solve diverged")
+
+
+def test_cli_import_leaves_out_scipy_solvers():
+    # their import time and memory would land on every command
+    code = ("import sys, pxdg.cli; "
+            "print(sorted({'scipy.linalg', 'scipy.sparse.linalg'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 def test_compare_small(tmp_path):

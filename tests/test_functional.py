@@ -16,6 +16,8 @@ from pxdg.functional import (
 )
 from pxdg.lifting import LiftingConfig
 from pxdg.meshes import uniform_mesh
+from pxdg.optimize import _band_solve
+from pxdg.problems import benchmark_mesh, cg_spec, dg_spec, paper1d
 
 P2 = ExponentField.constant(2.0)
 HAT = ExponentField.hat_family(0.2, 0.3)
@@ -172,6 +174,77 @@ def test_gradient_matches_finite_differences():
         for asm, n in ((dg, dg.ndof), (cg, cg.n_unique)):
             for _ in range(5):
                 assert _fd_check(asm, rng.normal(size=n), rng) <= 1e-6
+
+
+def band_to_dense(ab):
+    """The symmetric matrix whose lower band ``ab`` holds H[i + k, i] at [k, i]."""
+    n = ab.shape[1]
+    H = np.diag(ab[0])
+    for k in range(1, min(ab.shape[0], n)):
+        H += np.diag(ab[k, :n - k], -k) + np.diag(ab[k, :n - k], k)
+    return H
+
+
+def test_hess_is_the_jacobian_of_the_gradient():
+    # every exponent 2: the gradient is affine and hess(x, 0) is its exact Jacobian;
+    # for other exponents the Newton weights give it away from zero residuals
+    rng = np.random.default_rng(5)
+    left = uniform_mesh(-1, 1, 6, "left")
+    for spec, degree, newton in (
+        (make_spec(uniform_mesh(-1, 1, 6)), 1, False),
+        (make_spec(uniform_mesh(-1, 1, 5)), 2, False),
+        (make_spec(left, r=P2, u_D={"left": -1.0}, q=P2, xi=np.cos, fidelity_on=True,
+                   quadrature=("gauss", 3)), 1, False),
+        (make_spec(left, p=HAT, r=ExponentField.constant(3.0), u_D={"left": -1.0}, q=HAT,
+                   xi=np.cos, fidelity_on=True, normalize_by_exponent=True), 1, True),
+    ):
+        asm = discrete_assembly(spec, degree)
+        x = rng.normal(size=asm.ndof)
+        H = band_to_dense(asm.hess(x, 0.0, newton))
+        h = 1e-6
+        fd = np.column_stack([(asm.gradient(x + h * e) - asm.gradient(x - h * e)) / (2 * h)
+                              for e in np.eye(asm.ndof)])
+        assert np.max(np.abs(H - fd)) <= 1e-7 * np.max(np.abs(H))
+
+
+def test_kacanov_quadratic_majorizes_paper_energy():
+    # s <= 2 everywhere: E(x + d) <= E(x) + g.d + d.H.d / 2 with H = hess(x, 0)
+    rng = np.random.default_rng(11)
+    prob = paper1d()
+    mesh = benchmark_mesh(10)
+    for asm in (discrete_assembly(dg_spec(prob, mesh), 1),
+                continuous_assembly(cg_spec(prob, mesh), 1)):
+        assert np.max(asm.s) <= 2.0
+        for _ in range(5):
+            x = rng.normal(scale=1e6, size=asm.A.shape[1])
+            assert np.all(asm.A @ x - asm.b != 0.0)
+            f, g = asm.value_and_grad(x)
+            H = band_to_dense(asm.hess(x, 0.0))
+            for scale in (1e-3, 1.0, 1e3, 1e6):
+                d = rng.normal(scale=scale, size=x.size)
+                model = f + g @ d + 0.5 * d @ H @ d
+                assert asm.value_and_grad(x + d)[0] <= model + 1e-12 * abs(model)
+
+
+def test_band_solve_matches_dense_solve():
+    rng = np.random.default_rng(2)
+    for n in (1, 2, 3, 4, 7, 8, 9, 31, 100):
+        for m in (0, 1, 2, 3, 5):
+            ab = 0.3 * rng.normal(size=(m + 1, n))
+            ab[0] = np.abs(ab[0]) + 2.0 * (m + 1)  # diagonally dominant: SPD
+            rhs = rng.normal(size=n)
+            want = np.linalg.solve(band_to_dense(ab), rhs)
+            assert np.max(np.abs(_band_solve(ab, rhs) - want)) <= 1e-12 * np.max(np.abs(want))
+    # the Kacanov matrix of the paper energy; band entries past the last row are ignored
+    asm = discrete_assembly(dg_spec(paper1d(), benchmark_mesh(40)), 1)
+    x = rng.normal(scale=1e5, size=asm.ndof)
+    ab = asm.hess(x, 1e-3 * np.max(np.abs(asm.A @ x - asm.b)))
+    for cut in (slice(None), slice(1, -1)):
+        H = band_to_dense(ab)[cut, cut]
+        rhs = rng.normal(size=H.shape[0])
+        want = np.linalg.solve(H, rhs)
+        got = _band_solve(ab[:, cut], rhs)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_gradient_of_zero_candidate_is_boundary_local():

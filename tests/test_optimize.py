@@ -3,9 +3,18 @@ import pytest
 
 from pxdg.broken import interpolate, jumps
 from pxdg.exponents import ExponentField
-from pxdg.functional import FunctionalSpec, eval_discrete
+from pxdg.functional import FunctionalSpec, discrete_assembly, eval_discrete
 from pxdg.meshes import uniform_mesh
-from pxdg.optimize import FLAT_RTOL, BfgsConfig, _DenseBfgs, bfgs_minimize, solve_cg, solve_dg
+from pxdg.optimize import (
+    FLAT_RTOL,
+    BfgsConfig,
+    _band_solve,
+    _DenseBfgs,
+    bfgs_minimize,
+    solve_cg,
+    solve_dg,
+)
+from pxdg.problems import benchmark_mesh, dg_spec, paper1d
 
 P2 = ExponentField.constant(2.0)
 
@@ -89,16 +98,6 @@ def test_float_floor_is_not_a_line_search_failure():
     assert np.all(np.diff(hist) <= FLAT_RTOL * np.abs(hist[:-1]))
 
 
-def test_lbfgs_matches_dense_on_quadratic():
-    A = np.diag(np.linspace(1, 9, 12))
-    b = np.ones(12)
-    f = lambda x: 0.5 * x @ A @ x - b @ x
-    g = lambda x: A @ x - b
-    dense = bfgs_minimize(f, g, np.zeros(12), BfgsConfig())
-    lbfgs = bfgs_minimize(f, g, np.zeros(12), BfgsConfig(lbfgs_threshold=1))
-    assert np.max(np.abs(dense.x - lbfgs.x)) < 1e-5
-
-
 def quadratic_problem(B=1.0, n=4):
     mesh = uniform_mesh(-1, 1, n)
     spec = FunctionalSpec(mesh, P2, u_D={"left": -B, "right": B})
@@ -174,6 +173,8 @@ def test_solve_report_fields():
     assert lines[0] == "iteration,f,grad_max"
     # success certificate: relative gradient reduction
     assert rep.grad_norm_history[-1] <= 1e-8 * (1.0 + rep.grad_norm_history[0])
+    assert rep.stop_reason == "converged"
+    assert rep.n_evals >= rep.iterations >= 1
 
 
 def test_zero_initial_guess():
@@ -181,3 +182,42 @@ def test_zero_initial_guess():
     rep = solve_dg(spec, 1, BfgsConfig(initial_guess="zero"))
     assert rep.converged
     assert rep.breakdown.total <= 2.0 + 1e-12
+
+
+def test_band_solve_rejects_indefinite_and_non_finite():
+    ab = np.vstack((np.full(6, 4.0), np.ones(6)))
+    for bad in (-1.0, 0.0, np.nan, np.inf):
+        broken = ab.copy()
+        broken[0, 3] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            _band_solve(broken, np.ones(6))
+    broken = ab.copy()
+    broken[1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        _band_solve(broken, np.ones(6))
+
+
+def test_bad_pivot_ends_the_solve_without_a_step():
+    mesh, spec = quadratic_problem(n=6)
+    asm = discrete_assembly(spec, 1)
+    hess = asm.hess
+    asm.hess = lambda *args: -hess(*args)  # negative definite
+    rep = solve_dg(spec, 1)
+    assert not rep.converged and rep.stop_reason == "bad_pivot"
+    assert rep.iterations == 0 and np.all(np.isfinite(rep.solution.coeffs))
+
+
+def test_paper_dg_above_2000_dofs_converges():
+    # 1280 elements, 2560 DOFs; the energy is the one pinned by the benchmark
+    rep = solve_dg(dg_spec(paper1d(), benchmark_mesh(1280)), 1)
+    assert rep.converged and rep.line_search_failures == 0
+    assert rep.breakdown.total == pytest.approx(3403147.763275654, rel=1e-8)
+
+
+def test_stalled_paper_dg_ends_in_bounded_time():
+    # at 2560 elements the gradient tolerance is out of reach; the run must still
+    # end within 18.3 s, the time the former quasi-Newton solver took to spend
+    # its 20000 iterations here
+    rep = solve_dg(dg_spec(paper1d(), benchmark_mesh(2560)), 1, BfgsConfig(max_iters=20000))
+    assert rep.wall_time < 18.3
+    assert rep.converged == (rep.stop_reason == "converged")
