@@ -17,7 +17,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pxdg.cli import main as pxdg_main
-from pxdg.optimize import BfgsConfig, solve_cg
+from pxdg.optimize import solve_cg
 from pxdg.problems import benchmark_mesh, cg_spec, paper1d, solution_errors
 from pxdg.reports import fmt, write_atomic
 from pxdg.svg import LineChart
@@ -32,8 +32,7 @@ def cg_resolution_figure():
     chart.add_series(gx, prob.exact.u(gx), "exact")
     rows = ["intervals,l1,max_nodal"]
     for n in (300, 400):
-        rep = solve_cg(cg_spec(prob, benchmark_mesh(n)), 1,
-                       BfgsConfig(grad_tol=1e-7, max_iters=40000))
+        rep = solve_cg(cg_spec(prob, benchmark_mesh(n)), 1)
         u = rep.solution
         nodes = u.mesh.nodes
         vals = np.concatenate([u.coeffs[:, 0], [u.coeffs[-1, -1]]])
@@ -47,7 +46,6 @@ def cg_resolution_figure():
 
 if __name__ == "__main__":
     os.makedirs(OUT, exist_ok=True)
-    code = pxdg_main(["compare", "--n", "41", "--out", OUT, "--plot", "svg",
-                      "--tol", "1e-7"])
+    code = pxdg_main(["compare", "--n", "41", "--out", OUT, "--plot", "svg"])
     cg_resolution_figure()
     sys.exit(code)

@@ -8,7 +8,7 @@ from .exponents import ExponentField, WeightedSampleSet, luxemburg_norm, modular
 from .functional import FunctionalSpec, TermBreakdown, eval_continuous, eval_discrete
 from .lifting import LiftingConfig, lift
 from .meshes import Mesh1D, refine, uniform_mesh
-from .optimize import BfgsConfig, SolveReport, bfgs_minimize, solve_cg, solve_dg
+from .optimize import BfgsConfig, SolveReport, solve_cg, solve_dg
 from .problems import benchmark_mesh, paper1d, reference_energy, solution_errors
 from .reconstruction import reconstruct
 
@@ -19,7 +19,7 @@ __all__ = [
     "FunctionalSpec", "TermBreakdown", "eval_continuous", "eval_discrete",
     "LiftingConfig", "lift",
     "Mesh1D", "refine", "uniform_mesh",
-    "BfgsConfig", "SolveReport", "bfgs_minimize", "solve_cg", "solve_dg",
+    "BfgsConfig", "SolveReport", "solve_cg", "solve_dg",
     "benchmark_mesh", "paper1d", "reference_energy", "solution_errors",
     "reconstruct",
 ]

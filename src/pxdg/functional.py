@@ -146,6 +146,10 @@ class _Assembly:
         nk = degree + 1
         self.ndof = ne * nk
         rx, rw = reference_rule(*spec.quadrature)
+        if rx.size < degree:
+            # the derivative of a degree-k polynomial has k coefficients
+            raise ValueError(f"quadrature {spec.quadrature!r} has {rx.size} points per "
+                             f"element; degree {degree} needs at least {degree}")
         xq, wq = composite_points(mesh.nodes, rx, rw)
         self.xq = xq.ravel()
         self.wq = wq.ravel()

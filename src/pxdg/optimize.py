@@ -1,5 +1,5 @@
-"""Minimization of the DG/CG energies by relaxed Kacanov steps, and BFGS for
-generic callables, both with a strong Wolfe line search.
+"""Minimization of the DG/CG energies by relaxed Kacanov steps with a strong
+Wolfe line search.
 
 Every energy here is a sum of terms ``w |(A x - b)|^s / d`` whose rows couple a
 few neighbouring DOFs, so the relaxed Kacanov matrix
@@ -8,8 +8,7 @@ definite.  ``solve_dg`` and ``solve_cg`` take each step from one banded solve wi
 it (Diening, Fornasier, Tomasi & Wank, Numer. Math. 145, 2020: for s <= 2 its
 quadratic model majorizes the energy), shrinking eps tenfold per step from
 max|t| to ``EPS_FLOOR`` max|t| and then switching to the Newton weights
-(the factor s - 1) near the minimum.  ``bfgs_minimize`` keeps a dense
-inverse-Hessian BFGS model for callables without that structure.
+(the factor s - 1) near the minimum.
 
 Everything is deterministic: identical inputs produce identical iterates.
 """
@@ -22,36 +21,18 @@ import numpy as np
 from .broken import BrokenFunction, interpolate
 from .functional import continuous_assembly, discrete_assembly
 
-__all__ = ["BfgsConfig", "MinimizeResult", "SolveReport", "bfgs_minimize",
-           "solve_dg", "solve_cg"]
+__all__ = ["BfgsConfig", "SolveReport", "solve_dg", "solve_cg"]
 
 
 @dataclass(frozen=True)
 class BfgsConfig:
     grad_tol: float = 1e-8
     max_iters: int = 10000
-    c1: float = 1e-4
-    c2: float = 0.9
-    initial_guess: object = "linear_interp"  # "zero" | "linear_interp" | array
+    initial_guess: object = None  # None: the line through the Dirichlet data; or DOFs
 
     def __post_init__(self):
-        if not (0.0 < self.c1 < self.c2 < 1.0):
-            raise ValueError("need 0 < c1 < c2 < 1")
         if self.grad_tol <= 0.0 or self.max_iters <= 0:
             raise ValueError("tolerances and iteration budget must be positive")
-
-
-@dataclass
-class MinimizeResult:
-    x: np.ndarray
-    fun: float
-    iterations: int
-    converged: bool
-    grad_norm_history: list
-    f_history: list
-    line_search_failures: int
-    n_evals: int
-    stop_reason: str
 
 
 @dataclass
@@ -59,7 +40,6 @@ class SolveReport:
     solution: object
     breakdown: object
     iterations: int
-    converged: bool
     grad_norm_history: list
     f_history: list
     line_search_failures: int
@@ -67,6 +47,10 @@ class SolveReport:
     stop_reason: str
     wall_time: float
     method: str
+
+    @property
+    def converged(self):
+        return self.stop_reason == "converged"
 
     def trace_csv(self):
         lines = ["iteration,f,grad_max"]
@@ -79,6 +63,9 @@ class _LineSearchFailure(Exception):
     pass
 
 
+# Sufficient-decrease and curvature constants of the strong Wolfe conditions.
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
 # Relative energy change below which a trial energy equals f0 to rounding.
 FLAT_RTOL = 1e-12
 # Steps in which neither the energy falls beyond FLAT_RTOL nor max|g| halves,
@@ -86,14 +73,15 @@ FLAT_RTOL = 1e-12
 STALL_ITERS = 20
 
 
-def _wolfe_search(fg, x, p, f0, dphi0, c1, c2, max_iter=60):
-    """Strong Wolfe step along p; returns (alpha, f, g, n_evals).
+def _wolfe_search(fg, x, p, f0, dphi0, max_iter=60):
+    """Strong Wolfe step along p; returns (alpha, f, g).
 
     Where the trial energy equals f0 to rounding (``FLAT_RTOL``), the decrease
     tests only compare rounding noise: they are skipped, and the step is judged
     by its slope alone with the approximate Wolfe condition of Hager & Zhang
     (SIAM J. Optim. 16, 2005), ``d <= (2 c1 - 1) dphi0``.
     """
+    c1, c2 = WOLFE_C1, WOLFE_C2
 
     def phi(alpha):
         f, g = fg(x + alpha * p)
@@ -105,14 +93,10 @@ def _wolfe_search(fg, x, p, f0, dphi0, c1, c2, max_iter=60):
     def acceptable(d, level):
         return abs(d) <= -c2 * dphi0 and (not level or d <= (2.0 * c1 - 1.0) * dphi0)
 
-    evals = 0
-
     def zoom(lo, f_lo, dlo, hi, f_hi):
-        nonlocal evals
         for _ in range(max_iter):
             alpha = 0.5 * (lo + hi)
             f, g, d = phi(alpha)
-            evals += 1
             level = flat(f)
             if not level and (not np.isfinite(f) or f > f0 + c1 * alpha * dphi0
                               or f >= f_lo):
@@ -126,7 +110,6 @@ def _wolfe_search(fg, x, p, f0, dphi0, c1, c2, max_iter=60):
             if abs(hi - lo) <= 1e-16 * max(1.0, abs(lo)):
                 if np.isfinite(f_lo) and f_lo < f0:
                     f, g, d = phi(lo)
-                    evals += 1
                     return lo, f, g
                 break
         raise _LineSearchFailure
@@ -135,56 +118,17 @@ def _wolfe_search(fg, x, p, f0, dphi0, c1, c2, max_iter=60):
     alpha = 1.0
     for it in range(max_iter):
         f, g, d = phi(alpha)
-        evals += 1
         level = flat(f)
         if not level and (not np.isfinite(f) or f > f0 + c1 * alpha * dphi0
                           or (f >= f_prev and it > 0)):
-            out = zoom(alpha_prev, f_prev, d_prev, alpha, f)
-            return (*out, evals)
+            return zoom(alpha_prev, f_prev, d_prev, alpha, f)
         if acceptable(d, level):
-            return alpha, f, g, evals
+            return alpha, f, g
         if d >= 0.0:
-            out = zoom(alpha, f, d, alpha_prev, f_prev)
-            return (*out, evals)
+            return zoom(alpha, f, d, alpha_prev, f_prev)
         alpha_prev, f_prev, d_prev = alpha, f, d
         alpha *= 2.0
     raise _LineSearchFailure
-
-
-class _DenseBfgs:
-    """Inverse-Hessian BFGS model; each update is one rank-2 update of H in place."""
-
-    def __init__(self, n):
-        self.H = np.eye(n)
-        self.work = np.empty((n, n))
-        self.first = True
-
-    def direction(self, x, f, g):
-        return -(self.H @ g)
-
-    def update(self, s, y):
-        sy = float(s @ y)
-        if sy <= 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-            return False  # curvature condition fails; skip
-        if self.first:
-            self.H *= sy / float(y @ y)
-            self.first = False
-        rho = 1.0 / sy
-        Hy = self.H @ y
-        yHy = float(y @ Hy)
-        # H+ = H - rho (s Hy^T + Hy s^T) + rho (1 + rho yHy) s s^T = H + u s^T + s u^T
-        u = (0.5 * rho * (1.0 + rho * yHy)) * s - rho * Hy
-        np.matmul(np.column_stack((u, s)), np.vstack((s, u)), out=self.work)
-        self.H += self.work
-        return True
-
-    def reset(self):
-        """Back to the identity; True if that discarded curvature information."""
-        had = not self.first
-        self.H.fill(0.0)
-        np.fill_diagonal(self.H, 1.0)
-        self.first = True
-        return had
 
 
 # Floor of the Kacanov relaxation eps, relative to max|A x - b|.
@@ -300,68 +244,59 @@ class _Kacanov:
         self.f = f
         return _band_solve(self.hess(x, self.eps, self.newton), -g)
 
-    def update(self, s, y):
-        """Kacanov steps keep no curvature pairs."""
 
-    def reset(self):
-        """Nothing to discard; steepest descent still differs from the step."""
-        return True
+def _minimize(fg, x0, cfg, step):
+    """Line-search descent along ``step(x, f, g)``, or along -g where that is
+    not a descent direction; after a failed search, one retry along -g.
 
-
-def _minimize(fg, x0, cfg, model):
-    """Line-search descent along ``model.direction``.
-
-    Ends converged at ``max|g| <= grad_tol (1 + max|g0|)``, or unconverged with
-    ``stop_reason`` "max_iters", "line_search_failed" (also after one retry from
-    steepest descent), "bad_pivot" (the step matrix is not SPD) or "stalled"
+    Returns ``(x, f, stats)``, with ``stats`` the iteration fields of
+    ``SolveReport``.  ``n_evals`` counts every call of ``fg``, those of failed
+    searches included.  Ends converged at ``max|g| <= grad_tol (1 + max|g0|)``,
+    or unconverged with ``stop_reason`` "max_iters", "line_search_failed" (the
+    retry failed too), "bad_pivot" (the step matrix is not SPD) or "stalled"
     (in ``STALL_ITERS`` steps the energy fell by no more than rounding,
     ``FLAT_RTOL``, and max|g| did not halve).
     """
+    evals = 0
+
+    def counted(x):
+        nonlocal evals
+        evals += 1
+        return fg(x)
+
     x = np.asarray(x0, dtype=float).copy()
-    n = x.size
-    f, g = fg(x)
-    evals = 1
-    g0max = float(np.max(np.abs(g))) if n else 0.0
-    tol = cfg.grad_tol * (1.0 + g0max)
+    f, g = counted(x)
+    gmax = float(np.max(np.abs(g))) if x.size else 0.0
+    tol = cfg.grad_tol * (1.0 + gmax)
     f_hist = [f]
-    g_hist = [g0max]
+    g_hist = [gmax]
     failures = 0
-    converged = float(np.max(np.abs(g))) <= tol
-    stop = "max_iters"
-    f_ref, g_ref, flat_steps = f, g0max, 0
+    converged = gmax <= tol
+    stop = None
+    f_ref, g_ref, flat_steps = f, gmax, 0
     it = 0
     while not converged and it < cfg.max_iters:
         try:
-            p = model.direction(x, f, g)
+            p = step(x, f, g)
         except np.linalg.LinAlgError:
             stop = "bad_pivot"
             break
         dphi0 = float(g @ p)
         if not np.isfinite(dphi0) or dphi0 >= 0.0:
-            model.reset()
             p = -g
-            dphi0 = float(g @ p)
         try:
-            alpha, fnew, gnew, ev = _wolfe_search(fg, x, p, f, dphi0, cfg.c1, cfg.c2)
+            alpha, f_new, g_new = _wolfe_search(counted, x, p, f, float(g @ p))
         except _LineSearchFailure:
             failures += 1
-            if not model.reset():
-                stop = "line_search_failed"
-                break
-            p = -g  # retry once from steepest descent
+            p = -g
             try:
-                alpha, fnew, gnew, ev = _wolfe_search(fg, x, p, f, float(g @ p),
-                                                      cfg.c1, cfg.c2)
+                alpha, f_new, g_new = _wolfe_search(counted, x, p, f, float(g @ p))
             except _LineSearchFailure:
                 failures += 1
                 stop = "line_search_failed"
                 break
-        evals += ev
-        s = alpha * p
-        y = gnew - g
-        x = x + s
-        f, g = fnew, gnew
-        model.update(s, y)
+        x = x + alpha * p
+        f, g = f_new, g_new
         it += 1
         gmax = float(np.max(np.abs(g)))
         f_hist.append(f)
@@ -374,19 +309,10 @@ def _minimize(fg, x0, cfg, model):
             if flat_steps >= STALL_ITERS and not converged:
                 stop = "stalled"
                 break
-    if converged:
-        stop = "converged"
-    return MinimizeResult(x, f, it, converged, g_hist, f_hist, failures, evals, stop)
-
-
-def bfgs_minimize(f, g, x0, cfg=None):
-    """Minimize f with analytic gradient g from x0; see BfgsConfig for knobs."""
-    cfg = cfg or BfgsConfig()
-
-    def fg(x):
-        return f(x), np.asarray(g(x), dtype=float)
-
-    return _minimize(fg, x0, cfg, _DenseBfgs(np.size(x0)))
+    if stop is None:
+        stop = "converged" if converged else "max_iters"
+    return x, f, dict(iterations=it, grad_norm_history=g_hist, f_history=f_hist,
+                      line_search_failures=failures, n_evals=evals, stop_reason=stop)
 
 
 def _line_through_data(spec):
@@ -405,18 +331,12 @@ def _line_through_data(spec):
 
 def _initial_dofs(spec, k, cfg, asm, continuous):
     """Starting DOF vector: broken DOFs for DG, every shared nodal value for CG."""
-    guess = cfg.initial_guess
-    if not isinstance(guess, str):
-        return np.asarray(guess, dtype=float).copy()
-    if guess == "zero":
-        fn = np.zeros_like
-    elif guess == "linear_interp":
-        fn = _line_through_data(spec)
-    else:
-        raise ValueError(f"unknown initial guess {guess!r}")
+    if cfg.initial_guess is not None:
+        return np.asarray(cfg.initial_guess, dtype=float).copy()
+    line = _line_through_data(spec)
     if continuous:
-        return np.asarray(fn(asm.unique_x), dtype=float)
-    return interpolate(spec.mesh, k, fn).dof_vector()
+        return np.asarray(line(asm.unique_x), dtype=float)
+    return interpolate(spec.mesh, k, line).dof_vector()
 
 
 def _solve(spec, k, cfg, method):
@@ -448,16 +368,14 @@ def _solve(spec, k, cfg, method):
         return float(np.max(np.abs(asm.A @ x - asm.b)))
 
     t0 = time.perf_counter()
-    res = _minimize(fg, x[free].copy(), cfg, _Kacanov(hess, residual_max))
+    x[free], f, stats = _minimize(fg, x[free].copy(), cfg,
+                                  _Kacanov(hess, residual_max).direction)
     wall = time.perf_counter() - t0
-    x[free] = res.x
-    if not np.all(np.isfinite(x)) or not np.isfinite(res.fun):
+    if not np.all(np.isfinite(x)) or not np.isfinite(f):
         raise ArithmeticError(f"{method.upper()} solve diverged to a non-finite state")
     dofs = asm.unique_to_broken(x) if continuous else x
     u = BrokenFunction.from_dofs(spec.mesh, k, dofs, continuous=continuous)
-    return SolveReport(u, asm.terms(x), res.iterations, res.converged,
-                       res.grad_norm_history, res.f_history,
-                       res.line_search_failures, res.n_evals, res.stop_reason, wall, method)
+    return SolveReport(u, asm.terms(x), **stats, wall_time=wall, method=method)
 
 
 def solve_dg(spec, k, cfg=None):

@@ -119,6 +119,16 @@ def test_unknown_problem_is_config_error(tmp_path, capsys):
         assert err.startswith("config error") and named in err
 
 
+def test_degree_the_quadrature_cannot_see_is_config_error(tmp_path, capsys):
+    # one trapezoid panel has 2 points per element: too few for a cubic's derivative
+    out = str(tmp_path / "run")
+    assert main(["solve", "--n", "40", "--k", "3", "--out", out]) == 3
+    assert capsys.readouterr().err.startswith("config error")
+    assert main(["solve", "--method", "cg", "--n", "40", "--k", "3",
+                 "--m-panels", "2", "--out", out]) == 0
+    assert "stop=converged" in capsys.readouterr().out
+
+
 def test_config_file_with_flag_precedence(tmp_path, const2_spec):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"problem = custom:{const2_spec}\nn = 8\nmax-iters = 50\n")

@@ -9,8 +9,7 @@ from pxdg.optimize import (
     FLAT_RTOL,
     BfgsConfig,
     _band_solve,
-    _DenseBfgs,
-    bfgs_minimize,
+    _wolfe_search,
     solve_cg,
     solve_dg,
 )
@@ -19,89 +18,37 @@ from pxdg.problems import benchmark_mesh, dg_spec, paper1d
 P2 = ExponentField.constant(2.0)
 
 
-def test_quadratic_termination():
-    A = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
-    b = np.ones(5)
-    res = bfgs_minimize(lambda x: 0.5 * x @ A @ x - b @ x, lambda x: A @ x - b,
-                        np.zeros(5))
-    assert res.converged and res.iterations <= 12
-    assert np.max(np.abs(res.x - np.linalg.solve(A, b))) < 1e-6
-
-
-def test_rosenbrock():
-    def f(x):
-        return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
-
-    def g(x):
-        return np.array([-2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2),
-                         200 * (x[1] - x[0] ** 2)])
-
-    res = bfgs_minimize(f, g, np.array([-1.2, 1.0]))
-    assert res.converged
-    assert np.max(np.abs(res.x - 1.0)) < 1e-6
-
-
-def test_history_is_monotone():
-    rng = np.random.default_rng(0)
-    A = rng.normal(size=(8, 8))
-    A = A @ A.T + np.eye(8)
-    b = rng.normal(size=8)
-    res = bfgs_minimize(lambda x: 0.5 * x @ A @ x - b @ x + np.log1p(x @ x),
-                        lambda x: A @ x - b + 2 * x / (1 + x @ x),
-                        rng.normal(size=8))
-    hist = np.array(res.f_history)
-    assert np.all(np.diff(hist) <= 0.0)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
-        BfgsConfig(c1=0.5, c2=0.1)
-    with pytest.raises(ValueError):
         BfgsConfig(grad_tol=0.0)
-
-
-def test_dense_update_is_textbook_bfgs_in_place():
-    rng = np.random.default_rng(3)
-    n = 9
-    model = _DenseBfgs(n)
-    H, work = model.H, model.work
-    M = rng.normal(size=(n, n))
-    H[...] = M @ M.T + np.eye(n)
-    model.first = False
-    for _ in range(6):
-        s = rng.normal(size=n)
-        y = s + 0.3 * rng.normal(size=n)
-        assert s @ y > 0.0
-        rho = 1.0 / (s @ y)
-        V = np.eye(n) - rho * np.outer(y, s)
-        want = V.T @ H @ V + rho * np.outer(s, s)
-        assert model.update(s, y)
-        assert model.H is H and model.work is work
-        assert np.max(np.abs(H - want)) <= 1e-13 * np.max(np.abs(want))
-    model.reset()
-    assert model.H is H and model.work is work and model.first
-    assert np.array_equal(H, np.eye(n))
-    assert not np.shares_memory(H, work)
+    with pytest.raises(ValueError):
+        BfgsConfig(max_iters=0)
 
 
 def test_float_floor_is_not_a_line_search_failure():
-    # The stiff component's energy is visible; the soft ones are below the float64
-    # resolution of the offset 2, so reaching grad_tol in them never moves f.
-    A = np.diag([1.0, 1e-4, 1e-3])
-    x0 = np.array([1e-6, 1e-7, 1e-7])
-    assert 0.5 * (A[1:, 1:] @ x0[1:]) @ x0[1:] < np.spacing(2.0)
-    res = bfgs_minimize(lambda x: 2.0 + 0.5 * x @ A @ x, lambda x: A @ x, x0,
-                        BfgsConfig(grad_tol=1e-12))
-    assert res.converged and res.line_search_failures == 0
-    assert np.max(np.abs(A @ res.x)) <= 1e-12 * (1.0 + np.max(np.abs(A @ x0)))
-    hist = np.array(res.f_history)
-    assert np.all(np.diff(hist) <= FLAT_RTOL * np.abs(hist[:-1]))
+    # The energy's offset 2 hides its variation: every trial energy equals f0 in
+    # float64, while the slope still shows descent towards x = 100.
+    def fg(x):
+        return 2.0 + 0.5e-20 * float((x - 100.0) @ (x - 100.0)), 1e-20 * (x - 100.0)
+
+    x0, p = np.zeros(1), np.ones(1)
+    f0, g0 = fg(x0)
+    assert fg(x0 + p)[0] == f0 and fg(x0 + p)[1] @ p < 0.0
+    alpha, f, g = _wolfe_search(fg, x0, p, f0, float(g0 @ p))
+    assert f == f0 and alpha > 1.0
+    assert g @ p < 0.0 and abs(g @ p) <= 0.9 * abs(g0 @ p)
 
 
 def quadratic_problem(B=1.0, n=4):
     mesh = uniform_mesh(-1, 1, n)
     spec = FunctionalSpec(mesh, P2, u_D={"left": -B, "right": B})
     return mesh, spec
+
+
+def hat_problem():
+    mesh = uniform_mesh(-1, 1, 6)
+    return FunctionalSpec(mesh, ExponentField.hat_family(0.3, 0.5),
+                          u_D={"left": -1.0, "right": 1.0})
 
 
 def test_p2_dg_sanity():
@@ -132,9 +79,8 @@ def test_restart_from_minimizer_is_immediate():
 
 
 def test_optimality_gap_against_feasible_candidates():
-    mesh = uniform_mesh(-1, 1, 6)
-    p = ExponentField.hat_family(0.3, 0.5)
-    spec = FunctionalSpec(mesh, p, u_D={"left": -1.0, "right": 1.0})
+    spec = hat_problem()
+    mesh = spec.mesh
     rep = solve_dg(spec, 1)
     best = rep.breakdown.total
     for fn in (lambda x: x, lambda x: x**3, lambda x: np.sin(0.5 * np.pi * x)):
@@ -152,6 +98,8 @@ def test_determinism():
     r2 = solve_dg(spec2, 1)
     assert np.array_equal(r1.solution.coeffs, r2.solution.coeffs)
     assert r1.f_history == r2.f_history
+    hist = np.array(r1.f_history)
+    assert np.all(np.diff(hist) <= FLAT_RTOL * np.abs(hist[:-1]))
 
 
 def test_scaling_robustness_at_p2():
@@ -179,7 +127,7 @@ def test_solve_report_fields():
 
 def test_zero_initial_guess():
     mesh, spec = quadratic_problem()
-    rep = solve_dg(spec, 1, BfgsConfig(initial_guess="zero"))
+    rep = solve_dg(spec, 1, BfgsConfig(initial_guess=np.zeros(2 * mesh.n_elements)))
     assert rep.converged
     assert rep.breakdown.total <= 2.0 + 1e-12
 
@@ -207,6 +155,33 @@ def test_bad_pivot_ends_the_solve_without_a_step():
     assert rep.iterations == 0 and np.all(np.isfinite(rep.solution.coeffs))
 
 
+def test_max_iters_ends_the_solve():
+    assert solve_dg(hat_problem(), 1).iterations > 1
+    rep = solve_dg(hat_problem(), 1, BfgsConfig(max_iters=1))
+    assert rep.stop_reason == "max_iters" and not rep.converged
+    assert rep.iterations == 1 and len(rep.f_history) == 2
+
+
+def test_line_search_failure_counts_every_evaluation():
+    spec = hat_problem()
+    asm = discrete_assembly(spec, 1)
+    value_and_grad = asm.value_and_grad
+    calls = []  # the evaluated points; the first is the initial guess
+
+    def infinite_off_x0(x):
+        calls.append(x.copy())
+        f, g = value_and_grad(x)
+        return (f if np.array_equal(x, calls[0]) else np.inf), g
+
+    asm.value_and_grad = infinite_off_x0
+    rep = solve_dg(spec, 1)
+    assert rep.stop_reason == "line_search_failed" and not rep.converged
+    # the Kacanov step failed, and so did the retry from steepest descent
+    assert rep.line_search_failures == 2 and rep.iterations == 0
+    assert rep.n_evals == len(calls) > 2
+    assert np.array_equal(rep.solution.dof_vector(), calls[0])
+
+
 def test_paper_dg_above_2000_dofs_converges():
     # 1280 elements, 2560 DOFs; the energy is the one pinned by the benchmark
     rep = solve_dg(dg_spec(paper1d(), benchmark_mesh(1280)), 1)
@@ -220,4 +195,4 @@ def test_stalled_paper_dg_ends_in_bounded_time():
     # its 20000 iterations here
     rep = solve_dg(dg_spec(paper1d(), benchmark_mesh(2560)), 1, BfgsConfig(max_iters=20000))
     assert rep.wall_time < 18.3
-    assert rep.converged == (rep.stop_reason == "converged")
+    assert rep.stop_reason in {"converged", "stalled"}
