@@ -21,21 +21,23 @@ every A composed with the continuity map U from shared nodal values to broken
 DOFs.  The quadrature rule is fixed by the problem setup (composite trapezoid by
 default, Gauss on request).
 
-The assembly stacks the terms into one CSR matrix.  The value, the gradient
-A^T (w s |t|^{s-2} t / d) with t = A x - b (zero where t = 0), and the per-term
-breakdown each take one product with it, and sum the terms' row segments in
-list order.  ``hess`` gives the relaxed Kacanov matrix
-A^T diag(w s max(|t|, eps)^{s-2} / d) A, or the Hessian with the extra factor
-s - 1, in band storage: every row of A couples
-a few neighbouring DOFs, so the matrix is banded, and its pattern is fixed, so
-one sparse map takes the term weights to the band.
+The assembly stacks the terms into one row operator: every row of A couples at
+most a few neighbouring DOFs, so A is held in numpy as a fixed number of
+(column, value) entries per row, built from per-element arrays.  The value, the
+gradient A^T (w s |t|^{s-2} t / d) with t = A x - b (zero where t = 0), and the
+per-term breakdown each take one product with it (and with its transpose, held
+the same way), and sum the terms' row segments in list order.  ``hess`` gives
+the relaxed Kacanov matrix A^T diag(w s max(|t|, eps)^{s-2} / d) A, or the
+Hessian with the extra factor s - 1, in band storage: the matrix is banded, and
+its pattern is fixed, so one row operator of the same kind takes the term
+weights to the band.  The conforming map U is an index array: the shared nodal
+value each broken DOF takes.
 """
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .broken import _basis, _eval_matrix, jumps
 from .lifting import LiftingConfig, lift_matrix
@@ -136,6 +138,53 @@ def _dpower(t, s):
 _FIELDS = [f.name for f in fields(TermBreakdown)]
 
 
+class _RowOp:
+    """A sparse matrix held as the same number of entries in every row.
+
+    ``cols`` and ``vals`` have shape (width, nrows): each row holds its nonzero
+    entries in increasing column order, padded with weight 0 on a column of its
+    own.  ``A @ x`` adds each row's products in column order, as a CSR product
+    does: numpy sums the first axis of a (width, nrows) array row after row
+    when nrows >= 2, which every operator here has.
+    """
+
+    def __init__(self, rows, cols, vals, shape):
+        """From (row, col, value) triplets; zero values are dropped, and no two
+        nonzero values may share a position."""
+        keep = vals != 0.0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        count = np.bincount(rows, minlength=shape[0])
+        first = np.cumsum(count) - count
+        pad = np.zeros(shape[0], dtype=np.intp)
+        pad[count > 0] = cols[first[count > 0]]
+        width = max(int(count.max(initial=0)), 1)
+        self.cols = np.tile(pad, (width, 1))
+        self.vals = np.zeros((width, shape[0]))
+        slot = np.arange(rows.size) - first[rows]
+        self.cols[slot, rows] = cols
+        self.vals[slot, rows] = vals
+        self.shape = tuple(shape)
+
+    def transpose(self):
+        real = self.vals != 0.0
+        rows = np.broadcast_to(np.arange(self.shape[0]), self.cols.shape)
+        return _RowOp(self.cols[real], rows[real], self.vals[real], self.shape[::-1])
+
+    def __matmul__(self, x):
+        return (self.vals * x.take(self.cols)).sum(axis=0)
+
+
+def _row_blocks(cols, vals):
+    """(rows, cols, vals) triplets of the matrix whose row r has the entries
+    ``vals[r]`` at the columns ``cols[r]``: the two are broadcast together, and
+    every axis but the last is a row axis."""
+    cols, vals = np.broadcast_arrays(cols, vals)
+    cols, vals = cols.reshape(-1, cols.shape[-1]), vals.reshape(-1, vals.shape[-1])
+    return np.repeat(np.arange(len(vals)), vals.shape[1]), cols.ravel(), vals.ravel()
+
+
 class _Assembly:
     """The energy of one spec as a stacked term operator: DG, or CG if ``continuous``."""
 
@@ -160,71 +209,88 @@ class _Assembly:
         PHI = _eval_matrix(degree, rx)            # (nq, nk)
         DPHI = PHI @ D                            # derivative samples at rx
         h = mesh.element_sizes
-        self.Gv = sp.block_diag([DPHI * (2.0 / h[e]) for e in range(ne)], format="csr")
-        volume = self.Gv
+        first = (np.arange(ne) * nk)[:, None, None]  # each element's first DOF
+        own = first + np.arange(nk)
+        G = DPHI * (2.0 / h)[:, None, None]       # (ne, nq, nk)
+        self._gv_blocks = (own, G)
+        volume = _row_blocks(own, G)
         if not continuous:
-            nf = ne - 1
-            rows = np.repeat(np.arange(nf), 2)
-            cols = np.empty(2 * nf, dtype=int)
-            cols[0::2] = np.arange(nf) * nk + (nk - 1)
-            cols[1::2] = (np.arange(nf) + 1) * nk
-            vals = np.tile([1.0, -1.0], nf)
-            Jv = sp.csr_matrix((vals, (rows, cols)), shape=(nf, self.ndof))
+            # the lifted jumps at the quadrature points: R(v) = EK[..., 0] [v]_left
+            # + EK[..., 1] [v]_right, with EK[e, q, :] = sum_j El[q, j] K[e, j, :]
             lcfg = spec.lifting if spec.lifting is not None else LiftingConfig(degree)
-            El = sp.block_diag([_eval_matrix(lcfg.degree, rx)] * ne, format="csr")
-            self.Rv = (El @ lift_matrix(mesh, lcfg.degree) @ Jv).tocsr()
-            volume = (self.Gv + self.Rv).tocsr()
+            El = _eval_matrix(lcfg.degree, rx)
+            K = lift_matrix(mesh, lcfg.degree)
+            EK = El[None, :, 0, None] * K[:, None, 0]
+            for j in range(1, lcfg.degree + 1):
+                EK = EK + El[None, :, j, None] * K[:, None, j]
+            # a volume row reaches the DOF before and after its element; the face
+            # terms vanish at boundary faces, and the clipped columns with them
+            wide = np.clip(first + np.arange(-1, nk + 1), 0, self.ndof - 1)
+            R = np.zeros(G.shape[:2] + (nk + 2,))
+            R[..., 0], R[..., 1] = EK[..., 0], -EK[..., 0]
+            R[..., nk], R[..., nk + 1] = EK[..., 1], -EK[..., 1]
+            self._rv_blocks = (wide, R)
+            volume = _row_blocks(wide, R + np.pad(G, [(0, 0), (0, 0), (1, 1)]))
 
-        # (field, A, b, s, w, d): the term sum_i w_i |(A x - b)_i|^{s_i} / d_i
-        terms = [("gradient_term", volume, 0.0, self.pq, self.wq, self.pq if norm else 1.0)]
+        # (field, nrows, (rows, cols, vals) of A, b, s, w, d): the term
+        # sum_i w_i |(A x - b)_i|^{s_i} / d_i
+        nvol = self.xq.size
+        terms = [("gradient_term", nvol, volume, 0.0, self.pq, self.wq,
+                  self.pq if norm else 1.0)]
         if spec.fidelity_on:
             qq = spec.q(self.xq)
-            terms.append(("fidelity_term", sp.block_diag([PHI] * ne, format="csr"),
+            terms.append(("fidelity_term", nvol, _row_blocks(own, PHI),
                           np.asarray(spec.xi(self.xq), dtype=float), qq, self.wq,
                           qq if norm else 1.0))
         neumann = []
         hb = mesh.boundary_face_sizes
         ends = (("left", 0, mesh.x_left, hb[0]), ("right", self.ndof - 1, mesh.x_right, hb[1]))
         for name, dof, x, hbv in ends:
-            row = sp.csr_matrix(([1.0], ([0], [dof])), shape=(1, self.ndof))
+            row = (np.zeros(1, dtype=int), np.array([dof]), np.ones(1))
             if not getattr(mesh, f"dirichlet_{name}"):
-                neumann.append(("neumann_term", row, 0.0, spec.r(x), 1.0, 1.0))
+                neumann.append(("neumann_term", 1, row, 0.0, spec.r(x), 1.0, 1.0))
             elif not continuous:
                 # scalars, not arrays: numpy's vectorized ** can differ from the scalar one
                 # in the last bit, which is enough to move the solver's iterates
                 pe = spec.p(x)
-                terms.append(("dirichlet_penalty", row, spec.u_D[name], pe,
+                terms.append(("dirichlet_penalty", 1, row, spec.u_D[name], pe,
                               hbv ** (1.0 - pe), 1.0))
         if not continuous:
+            nf = ne - 1
+            left = np.arange(nf)[:, None] * nk + (nk - 1)
+            jump = _row_blocks(left + [0, 1], np.array([1.0, -1.0]))
             pf = spec.p(mesh.interior_faces)
-            terms.append(("interior_penalty", Jv, 0.0, pf,
+            terms.append(("interior_penalty", nf, jump, 0.0, pf,
                           mesh.interior_face_sizes ** (1.0 - pf), 1.0))
         terms += neumann
 
+        ncols = self.ndof
         if continuous:
             self._continuity_map(mesh, degree, t)
-            terms = [(f, A @ self.U, *rest) for f, A, *rest in terms]
-        sizes = [A.shape[0] for _, A, *_ in terms]
+            ncols = self.n_unique
+        sizes = [n for _, n, *_ in terms]
         stops = np.cumsum(sizes).tolist()
         self.segments = list(zip([0] + stops[:-1], stops))
         self.field_index = np.array([_FIELDS.index(f) for f, *_ in terms])
-        self.A = sp.vstack([A for _, A, *_ in terms], format="csr")
-        # row-major copy of A^T: sums each gradient entry in the same order as A.T @,
-        # at a third of the cost of the column-major product
-        self.AT = self.A.T.tocsr()
+        ops = [op for _, _, op, *_ in terms]
+        rows = np.concatenate([op[0] + a for op, (a, _) in zip(ops, self.segments)])
+        cols = np.concatenate([op[1] for op in ops])
+        vals = np.concatenate([op[2] for op in ops])
+        if continuous:
+            cols = self.unique_dof[cols]
+        self.A = _RowOp(rows, cols, vals, (stops[-1], ncols))
+        self.AT = self.A.transpose()
         self.b, self.s, self.w, self.d = (
             np.concatenate([np.broadcast_to(np.asarray(term[k], dtype=float), (n,))
                             for term, n in zip(terms, sizes)])
-            for k in range(2, 6))
+            for k in range(3, 7))
 
     def _continuity_map(self, mesh, degree, t):
-        """U maps the shared nodal values (the CG DOFs) to broken DOFs."""
+        """unique_dof[j] is the shared nodal value (CG DOF) that broken DOF j takes."""
         ne = mesh.n_elements
         nk = degree + 1
         self.n_unique = ne * degree + 1
-        cols = np.repeat(np.arange(ne), nk) * degree + np.tile(np.arange(nk), ne)
-        self.U = sp.csr_matrix((np.ones(self.ndof), (np.arange(self.ndof), cols)),
-                               shape=(self.ndof, self.n_unique))
+        self.unique_dof = np.repeat(np.arange(ne), nk) * degree + np.tile(np.arange(nk), ne)
         self.dirichlet_dofs = []
         if mesh.dirichlet_left:
             self.dirichlet_dofs.append((0, self.spec.u_D["left"]))
@@ -232,22 +298,35 @@ class _Assembly:
             self.dirichlet_dofs.append((self.n_unique - 1, self.spec.u_D["right"]))
         mid = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
         half = 0.5 * mesh.element_sizes
-        self.unique_x = np.empty(self.n_unique)
-        for e in range(ne):
-            self.unique_x[e * degree:e * degree + nk] = mid[e] + half[e] * t
+        # a shared node takes its position from the element on its right
+        nodes = mid[:, None] + half[:, None] * t
+        self.unique_x = np.append(nodes[:, :degree].ravel(), nodes[-1, -1])
+
+    @cached_property
+    def Gv(self):
+        """The broken gradient at the quadrature points."""
+        return _RowOp(*_row_blocks(*self._gv_blocks), (self.xq.size, self.ndof))
+
+    @cached_property
+    def Rv(self):
+        """The lifted jumps at the quadrature points (DG: A's volume rows are Gv + Rv)."""
+        return _RowOp(*_row_blocks(*self._rv_blocks), (self.xq.size, self.ndof))
 
     def _term_values(self, resid):
         """Each term's value at the residual A x - b, in term order."""
         c = self.w * _power(resid, self.s) / self.d
         return [float(np.sum(c[a:b])) for a, b in self.segments]
 
+    def residual(self, x):
+        return self.A @ x - self.b
+
     def terms(self, x):
-        parts = self._term_values(self.A @ x - self.b)
+        parts = self._term_values(self.residual(x))
         sums = np.bincount(self.field_index, parts, minlength=len(_FIELDS))
         return TermBreakdown(*sums.tolist())
 
     def value_and_grad(self, x):
-        resid = self.A @ x - self.b
+        resid = self.residual(x)
         val = 0.0
         for part in self._term_values(resid):
             val += part  # left to right; sum() compensates on Python >= 3.12
@@ -263,46 +342,36 @@ class _Assembly:
         flattened with H[i + k, i] at k * n + i for the n columns of A; m is the
         half-bandwidth."""
         A = self.A
-        nnz_row = np.diff(A.indptr)
-        width = int(nnz_row.max())
-        # every ordered pair (p, q) of stored entries of one row, with col p >= col q
-        p = np.repeat(np.arange(A.nnz), width)
-        row = np.repeat(np.arange(A.shape[0]), nnz_row)[p]
-        o = np.tile(np.arange(width), A.nnz)
-        keep = o < nnz_row[row]
-        p, row = p[keep], row[keep]
-        q = A.indptr[row] + o[keep]
-        lower = A.indices[p] >= A.indices[q]
-        p, q, row = p[lower], q[lower], row[lower]
-        off = A.indices[p] - A.indices[q]
-        m = int(off.max())
         n = A.shape[1]
-        M = sp.csr_matrix((A.data[p] * A.data[q], (off * n + A.indices[q], row)),
-                          shape=((m + 1) * n, A.shape[0]))
+        # every pair (a, b) of entries of one row with col a >= col b
+        a, b = np.tril_indices(A.cols.shape[0])
+        real = (A.vals[a] != 0.0) & (A.vals[b] != 0.0)
+        off = A.cols[a] - A.cols[b]
+        m = int(off[real].max())
+        row = np.broadcast_to(np.arange(A.shape[0]), off.shape)
+        M = _RowOp((off * n + A.cols[b])[real], row[real], (A.vals[a] * A.vals[b])[real],
+                   ((m + 1) * n, A.shape[0]))
         return M, m
 
-    def hess(self, x, eps, newton=False):
+    def hess(self, t, eps, newton=False):
         """The relaxed Kacanov matrix A^T diag(w s max(|t|, eps)^{s-2} / d) A at
-        t = A x - b, as its lower band: an (m + 1, n) array with H[i + k, i] in
-        row k, column i.  For s <= 2 its quadratic model majorizes the energy
-        when eps = 0; at s = 2 it is the Hessian.  ``newton`` multiplies each
-        weight by s - 1, which gives the Hessian wherever |t| >= eps."""
-        t = np.abs(self.A @ x - self.b)
-        c = self.w * self.s * np.maximum(t, eps) ** (self.s - 2.0) / self.d
+        the residual t = A x - b, as its lower band: an (m + 1, n) array with
+        H[i + k, i] in row k, column i.  For s <= 2 its quadratic model
+        majorizes the energy when eps = 0; at s = 2 it is the Hessian.
+        ``newton`` multiplies each weight by s - 1, which gives the Hessian
+        wherever |t| >= eps."""
+        c = self.w * self.s * np.maximum(np.abs(t), eps) ** (self.s - 2.0) / self.d
         if newton:
             c *= self.s - 1.0
         M, m = self._band_map
         return (M @ c).reshape(m + 1, -1)
 
     def broken_to_unique(self, v):
-        out = np.zeros(self.n_unique)
-        counts = np.zeros(self.n_unique)
-        np.add.at(out, self.U.indices, v)
-        np.add.at(counts, self.U.indices, 1.0)
-        return out / counts
+        return (np.bincount(self.unique_dof, v, minlength=self.n_unique)
+                / np.bincount(self.unique_dof, minlength=self.n_unique))
 
     def unique_to_broken(self, xu):
-        return self.U @ xu
+        return xu[self.unique_dof]
 
 
 def discrete_assembly(spec, degree):

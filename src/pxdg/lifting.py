@@ -11,7 +11,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .broken import BrokenFunction, _eval_matrix, _face_weight_values, jumps, volume_samples
 from .exponents import luxemburg_norm
@@ -53,21 +52,18 @@ def _reference_mass_inverse(l):
 
 
 def lift_matrix(mesh, l):
-    """Sparse map from the interior-face jump vector to the lifted coefficients."""
-    ne = mesh.n_elements
-    nf = ne - 1
+    """Per-element lifting coefficients K of shape (n_elements, l + 1, 2).
+
+    K[e, :, 0] and K[e, :, 1] are the coefficients on element e of the lifting
+    of a unit jump at its left and its right face; they are zero where that face
+    is on the boundary.
+    """
     h = mesh.element_sizes
     Minv = _reference_mass_inverse(l)
-    nk = l + 1
-    rows, cols, vals = [], [], []
-    for f in range(nf):
-        # face f sits between elements f (its right face) and f+1 (its left face)
-        for e, col_of_minv in ((f, nk - 1), (f + 1, 0)):
-            coef = -(1.0 / h[e]) * Minv[:, col_of_minv]
-            rows.extend(e * nk + np.arange(nk))
-            cols.extend([f] * nk)
-            vals.extend(coef)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(ne * nk, nf))
+    K = -(1.0 / h)[:, None, None] * Minv[None, :, [0, l]]
+    K[0, :, 0] = 0.0
+    K[-1, :, 1] = 0.0
+    return K
 
 
 def lift(u, cfg=None):
@@ -76,7 +72,8 @@ def lift(u, cfg=None):
     if u.mesh.n_elements < 2:
         raise ValueError("mesh has no interior face")
     K = lift_matrix(u.mesh, l)
-    coeffs = (K @ jumps(u)).reshape(u.mesh.n_elements, l + 1)
+    J = np.concatenate(([0.0], jumps(u), [0.0]))  # each element's left and right jump
+    coeffs = K[:, :, 0] * J[:-1, None] + K[:, :, 1] * J[1:, None]
     return BrokenFunction(u.mesh, l, coeffs)
 
 

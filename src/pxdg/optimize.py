@@ -221,20 +221,22 @@ def _band_solve(ab, rhs):
 
 
 class _Kacanov:
-    """Relaxed Kacanov steps: solve hess(x, eps) p = -g, with eps = max|t| at the
-    first step and max(eps / 10, EPS_FLOOR max|t|) after each step.  Once eps is
-    at its floor and a step changed the energy by at most NEWTON_RTOL relative,
-    the weights take the factor s - 1 of the Hessian for the rest of the run."""
+    """Relaxed Kacanov steps: form the residual t = A x - b once per step and
+    solve hess(t, eps) p = -g, with eps = max|t| at the first step and
+    max(eps / 10, EPS_FLOOR max|t|) after each step.  Once eps is at its floor
+    and a step changed the energy by at most NEWTON_RTOL relative, the weights
+    take the factor s - 1 of the Hessian for the rest of the run."""
 
-    def __init__(self, hess, residual_max):
+    def __init__(self, hess, residual):
         self.hess = hess
-        self.residual_max = residual_max
+        self.residual = residual
         self.eps = None
         self.f = None
         self.newton = False
 
     def direction(self, x, f, g):
-        tmax = self.residual_max(x)
+        t = self.residual(x)
+        tmax = float(np.max(np.abs(t)))
         if self.eps is None:
             self.eps = tmax
         else:
@@ -242,7 +244,7 @@ class _Kacanov:
             self.eps = max(self.eps / 10.0, floor)
             self.newton |= self.eps == floor and abs(self.f - f) <= NEWTON_RTOL * abs(f)
         self.f = f
-        return _band_solve(self.hess(x, self.eps, self.newton), -g)
+        return _band_solve(self.hess(t, self.eps, self.newton), -g)
 
 
 def _minimize(fg, x0, cfg, step):
@@ -359,17 +361,16 @@ def _solve(spec, k, cfg, method):
         val, grad = asm.value_and_grad(x)
         return val, grad[free]
 
-    def hess(xfree, eps, newton):
-        x[free] = xfree
-        return asm.hess(x, eps, newton)[:, free]
+    def hess(t, eps, newton):
+        return asm.hess(t, eps, newton)[:, free]
 
-    def residual_max(xfree):
+    def residual(xfree):
         x[free] = xfree
-        return float(np.max(np.abs(asm.A @ x - asm.b)))
+        return asm.residual(x)
 
     t0 = time.perf_counter()
     x[free], f, stats = _minimize(fg, x[free].copy(), cfg,
-                                  _Kacanov(hess, residual_max).direction)
+                                  _Kacanov(hess, residual).direction)
     wall = time.perf_counter() - t0
     if not np.all(np.isfinite(x)) or not np.isfinite(f):
         raise ArithmeticError(f"{method.upper()} solve diverged to a non-finite state")

@@ -1,7 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from pxdg.broken import BrokenFunction, interpolate
+from pxdg.broken import BrokenFunction, elementwise_gradient, interpolate, jumps
 from pxdg.exponents import ExponentField
 from pxdg.functional import (
     FunctionalSpec,
@@ -14,10 +16,11 @@ from pxdg.functional import (
     grad_continuous,
     grad_discrete,
 )
-from pxdg.lifting import LiftingConfig
+from pxdg.lifting import LiftingConfig, lift
 from pxdg.meshes import uniform_mesh
 from pxdg.optimize import _band_solve
 from pxdg.problems import benchmark_mesh, cg_spec, dg_spec, paper1d
+from pxdg.quadrature import gauss_legendre
 
 P2 = ExponentField.constant(2.0)
 HAT = ExponentField.hat_family(0.2, 0.3)
@@ -200,7 +203,7 @@ def test_hess_is_the_jacobian_of_the_gradient():
     ):
         asm = discrete_assembly(spec, degree)
         x = rng.normal(size=asm.ndof)
-        H = band_to_dense(asm.hess(x, 0.0, newton))
+        H = band_to_dense(asm.hess(asm.residual(x), 0.0, newton))
         h = 1e-6
         fd = np.column_stack([(asm.gradient(x + h * e) - asm.gradient(x - h * e)) / (2 * h)
                               for e in np.eye(asm.ndof)])
@@ -219,11 +222,83 @@ def test_kacanov_quadratic_majorizes_paper_energy():
             x = rng.normal(scale=1e6, size=asm.A.shape[1])
             assert np.all(asm.A @ x - asm.b != 0.0)
             f, g = asm.value_and_grad(x)
-            H = band_to_dense(asm.hess(x, 0.0))
+            H = band_to_dense(asm.hess(asm.residual(x), 0.0))
             for scale in (1e-3, 1.0, 1e3, 1e6):
                 d = rng.normal(scale=scale, size=x.size)
                 model = f + g @ d + 0.5 * d @ H @ d
                 assert asm.value_and_grad(x + d)[0] <= model + 1e-12 * abs(model)
+
+
+def dg_operator_spec(k, l, mesh=None):
+    """Gauss k+1, lifting degree l, a Neumann face on the right and fidelity on."""
+    mesh = mesh or uniform_mesh(-1, 1, 5, "left")
+    return make_spec(mesh, p=HAT, r=ExponentField.constant(3.0), u_D={"left": -1.0},
+                     q=HAT, xi=np.cos, fidelity_on=True, quadrature=("gauss", k + 1),
+                     lifting=LiftingConfig(l))
+
+
+def test_term_operator_rows_sample_the_dg_function():
+    # A x, term by term: the lifted gradient and the value at each quadrature
+    # point, the Dirichlet end value, the jumps and the Neumann end value
+    rng = np.random.default_rng(8)
+    names = [f.name for f in fields(TermBreakdown)]
+    for mesh in (uniform_mesh(-1, 1, 5, "left"), uniform_mesh(-1, 1, 2, "left")):
+        for k in (1, 2, 3):
+            for l in (0, 1, 2):
+                asm = discrete_assembly(dg_operator_spec(k, l, mesh), k)
+                v = BrokenFunction.from_dofs(mesh, k, rng.normal(size=asm.ndof))
+                gx = gauss_legendre(k + 1)[0]
+                want = {
+                    "gradient_term": (elementwise_gradient(v).values_at_ref(gx)
+                                      + lift(v, LiftingConfig(l)).values_at_ref(gx)).ravel(),
+                    "fidelity_term": v.values_at_ref(gx).ravel(),
+                    "dirichlet_penalty": v.coeffs[0, :1],
+                    "interior_penalty": jumps(v),
+                    "neumann_term": v.coeffs[-1, -1:],
+                }
+                Ax = asm.A @ v.dof_vector()
+                assert sorted(names[i] for i in asm.field_index) == sorted(want)
+                for (a, b), i in zip(asm.segments, asm.field_index):
+                    got, ref = Ax[a:b], want[names[i]]
+                    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def dense(op):
+    """The matrix of a linear operator, from its products with the unit vectors."""
+    return np.column_stack([op @ e for e in np.eye(op.shape[1])])
+
+
+def test_gradient_and_hess_match_the_dense_term_operator():
+    # DG with every lifting degree, a Neumann face and fidelity; CG with both ends
+    # pinned; two elements, where each element has one interior face and rows are
+    # padded most
+    rng = np.random.default_rng(9)
+    cases = []
+    for ne in (5, 2):
+        for k in (1, 2, 3):
+            for l in (0, 1, 2):
+                cases.append((discrete_assembly(
+                    dg_operator_spec(k, l, uniform_mesh(-1, 1, ne, "left")), k), slice(None)))
+            cg = make_spec(uniform_mesh(-1, 1, ne), p=HAT, quadrature=("gauss", k + 1))
+            cases.append((continuous_assembly(cg, k), slice(1, -1)))
+    for asm, free in cases:
+        A = dense(asm.A)
+        assert A.shape == asm.A.shape
+        x = rng.normal(size=A.shape[1])
+        t = A @ x - asm.b
+        g = asm.value_and_grad(x)[1]
+        want = A.T @ (asm.w * asm.s * np.abs(t) ** (asm.s - 2.0) * t / asm.d)
+        assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
+        for eps, newton in ((0.0, False), (0.3, False), (0.3, True)):
+            c = asm.w * asm.s * np.maximum(np.abs(t), eps) ** (asm.s - 2.0) / asm.d
+            if newton:
+                c *= asm.s - 1.0
+            H = A.T @ (c[:, None] * A)
+            # the band has every nonzero of H; the solver cuts out the pinned ends
+            ab = asm.hess(t, eps, newton)
+            for cut in (slice(None), free):
+                got = band_to_dense(ab[:, cut])
+                assert np.max(np.abs(got - H[cut, cut])) <= 1e-13 * np.max(np.abs(H))
 
 
 def test_band_solve_matches_dense_solve():
@@ -238,7 +313,8 @@ def test_band_solve_matches_dense_solve():
     # the Kacanov matrix of the paper energy; band entries past the last row are ignored
     asm = discrete_assembly(dg_spec(paper1d(), benchmark_mesh(40)), 1)
     x = rng.normal(scale=1e5, size=asm.ndof)
-    ab = asm.hess(x, 1e-3 * np.max(np.abs(asm.A @ x - asm.b)))
+    t = asm.residual(x)
+    ab = asm.hess(t, 1e-3 * np.max(np.abs(t)))
     for cut in (slice(None), slice(1, -1)):
         H = band_to_dense(ab)[cut, cut]
         rhs = rng.normal(size=H.shape[0])

@@ -7,6 +7,7 @@ from pxdg.functional import FunctionalSpec, discrete_assembly, eval_discrete
 from pxdg.meshes import uniform_mesh
 from pxdg.optimize import (
     FLAT_RTOL,
+    STALL_ITERS,
     BfgsConfig,
     _band_solve,
     _wolfe_search,
@@ -180,6 +181,18 @@ def test_line_search_failure_counts_every_evaluation():
     assert rep.line_search_failures == 2 and rep.iterations == 0
     assert rep.n_evals == len(calls) > 2
     assert np.array_equal(rep.solution.dof_vector(), calls[0])
+
+
+def test_unreachable_tolerance_ends_as_stalled():
+    # at p = 2 the first Newton step reaches the minimizer; after it the energy is
+    # flat and max|g| stays at the rounding of the gradient, above this tolerance
+    _, spec = quadratic_problem(n=8)
+    rep = solve_dg(spec, 1, BfgsConfig(grad_tol=1e-16, max_iters=500))
+    assert rep.stop_reason == "stalled" and not rep.converged
+    assert STALL_ITERS <= rep.iterations < 500
+    tail = np.array(rep.f_history[-STALL_ITERS - 1:])
+    assert np.max(np.abs(tail - tail[0])) <= FLAT_RTOL * tail[0]
+    assert rep.grad_norm_history[-1] > 1e-16 * (1.0 + rep.grad_norm_history[0])
 
 
 def test_paper_dg_above_2000_dofs_converges():
