@@ -27,7 +27,6 @@ __all__ = [
     "inverse_estimate_check",
     "embed_refine",
     "volume_samples",
-    "function_samples",
     "gradient_samples",
 ]
 
@@ -200,13 +199,6 @@ def volume_samples(mesh, points_per_element):
     gx, gw = gauss_legendre(points_per_element)
     xq, wq = composite_points(mesh.nodes, gx, gw)
     return WeightedSampleSet(xq.ravel(), wq.ravel()), gx
-
-
-def function_samples(u, points_per_element=None):
-    """(samples, values) of u itself on a composite Gauss rule."""
-    g = points_per_element or (u.degree + 2)
-    samples, gx = volume_samples(u.mesh, g)
-    return samples, u.values_at_ref(gx).ravel()
 
 
 def gradient_samples(u, points_per_element=None):

@@ -133,7 +133,7 @@ def _setup_problem(args):
     raise ValueError(f"unknown problem {args.problem!r}")
 
 
-def _mesh_for(kind, payload, n, method):
+def _mesh_for(kind, payload, n):
     if kind == "paper1d":
         return benchmark_mesh(n, "both")
     lo, hi = payload["domain"]
@@ -151,7 +151,7 @@ def _spec_for(kind, payload, mesh, args, method):
 
 
 def _run_one(kind, payload, args, method, n):
-    mesh = _mesh_for(kind, payload, n, method)
+    mesh = _mesh_for(kind, payload, n)
     spec = _spec_for(kind, payload, mesh, args, method)
     cfg = BfgsConfig(grad_tol=args.tol, max_iters=args.max_iters)
     rep = solve_dg(spec, args.k, cfg) if method == "dg" else solve_cg(spec, args.k, cfg)

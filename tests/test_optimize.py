@@ -9,14 +9,15 @@ from pxdg.optimize import (
     FLAT_RTOL,
     STALL_ITERS,
     BfgsConfig,
+    _armijo_search,
     _band_solve,
-    _wolfe_search,
     solve_cg,
     solve_dg,
 )
 from pxdg.problems import benchmark_mesh, dg_spec, paper1d
 
 P2 = ExponentField.constant(2.0)
+HAT = ExponentField.hat_family(0.3, 0.5)
 
 
 def test_config_validation():
@@ -35,9 +36,16 @@ def test_float_floor_is_not_a_line_search_failure():
     x0, p = np.zeros(1), np.ones(1)
     f0, g0 = fg(x0)
     assert fg(x0 + p)[0] == f0 and fg(x0 + p)[1] @ p < 0.0
-    alpha, f, g = _wolfe_search(fg, x0, p, f0, float(g0 @ p))
-    assert f == f0 and alpha > 1.0
-    assert g @ p < 0.0 and abs(g @ p) <= 0.9 * abs(g0 @ p)
+    alpha, f, g = _armijo_search(fg, x0, p, f0, float(g0 @ p))
+    assert f == f0 and g @ p < 0.0
+
+    # rounding may also put every trial energy an ulp above f0; the slope decides
+    def noisy(x):
+        f, g = fg(x)
+        return (f if x @ x == 0.0 else np.nextafter(f, np.inf)), g
+
+    alpha, f, g = _armijo_search(noisy, x0, p, f0, float(g0 @ p))
+    assert f > f0 and g @ p < 0.0
 
 
 def quadratic_problem(B=1.0, n=4):
@@ -48,8 +56,7 @@ def quadratic_problem(B=1.0, n=4):
 
 def hat_problem():
     mesh = uniform_mesh(-1, 1, 6)
-    return FunctionalSpec(mesh, ExponentField.hat_family(0.3, 0.5),
-                          u_D={"left": -1.0, "right": 1.0})
+    return FunctionalSpec(mesh, HAT, u_D={"left": -1.0, "right": 1.0})
 
 
 def test_p2_dg_sanity():
@@ -133,6 +140,19 @@ def test_zero_initial_guess():
     assert rep.breakdown.total <= 2.0 + 1e-12
 
 
+@pytest.mark.parametrize("n", [10, 40])
+def test_exponents_above_two_converge(n):
+    # where s > 2 the Kacanov model does not majorize the energy, so a full step
+    # can overshoot: the fidelity and Neumann terms with q = r = 3, and p = 4
+    P3 = ExponentField.constant(3.0)
+    fidelity = FunctionalSpec(uniform_mesh(-1, 1, n, "left"), HAT, q=P3, r=P3,
+                              xi=np.cos, fidelity_on=True, u_D={"left": -1.0})
+    quartic = FunctionalSpec(uniform_mesh(-1, 1, n), ExponentField.constant(4.0),
+                             u_D={"left": -1.0, "right": 1.0})
+    for rep in (solve_dg(fidelity, 1), solve_cg(fidelity, 1), solve_dg(quartic, 1)):
+        assert rep.stop_reason == "converged"
+
+
 def test_band_solve_rejects_indefinite_and_non_finite():
     ab = np.vstack((np.full(6, 4.0), np.ones(6)))
     for bad in (-1.0, 0.0, np.nan, np.inf):
@@ -204,8 +224,7 @@ def test_paper_dg_above_2000_dofs_converges():
 
 def test_stalled_paper_dg_ends_in_bounded_time():
     # at 2560 elements the gradient tolerance is out of reach; the run must still
-    # end within 18.3 s, the time the former quasi-Newton solver took to spend
-    # its 20000 iterations here
+    # end after a few hundred evaluations, well inside its 20000-step budget
     rep = solve_dg(dg_spec(paper1d(), benchmark_mesh(2560)), 1, BfgsConfig(max_iters=20000))
-    assert rep.wall_time < 18.3
+    assert rep.n_evals <= 600 and rep.wall_time < 5.0
     assert rep.stop_reason in {"converged", "stalled"}
