@@ -338,20 +338,25 @@ class _Assembly:
 
     @cached_property
     def _band_map(self):
-        """(M, m): M maps term weights c to the lower band of A^T diag(c) A,
-        flattened with H[i + k, i] at k * n + i for the n columns of A; m is the
-        half-bandwidth."""
+        """(cols, vals, widths): the lower band of A^T diag(c) A, H[i + k, i] at
+        [k, i] for the n columns of A, from the products ``vals * c[cols]``.
+        These hold the m + 1 band diagonals one after another, diagonal k as a
+        (widths[k], n) row operator (see ``_RowOp``) from c to H[i + k, i]:
+        one width per diagonal, since the outer ones take fewer rows of A."""
         A = self.A
         n = A.shape[1]
         # every pair (a, b) of entries of one row with col a >= col b
         a, b = np.tril_indices(A.cols.shape[0])
         real = (A.vals[a] != 0.0) & (A.vals[b] != 0.0)
-        off = A.cols[a] - A.cols[b]
-        m = int(off[real].max())
-        row = np.broadcast_to(np.arange(A.shape[0]), off.shape)
-        M = _RowOp((off * n + A.cols[b])[real], row[real], (A.vals[a] * A.vals[b])[real],
-                   ((m + 1) * n, A.shape[0]))
-        return M, m
+        off = (A.cols[a] - A.cols[b])[real]
+        row = np.broadcast_to(np.arange(A.shape[0]), real.shape)[real]
+        col = A.cols[b][real]
+        val = (A.vals[a] * A.vals[b])[real]
+        diagonals = [_RowOp(col[off == k], row[off == k], val[off == k], (n, A.shape[0]))
+                     for k in range(int(off.max()) + 1)]
+        return (np.concatenate([d.cols.ravel() for d in diagonals]),
+                np.concatenate([d.vals.ravel() for d in diagonals]),
+                [d.vals.shape[0] for d in diagonals])
 
     def hess(self, t, eps, newton=False):
         """The relaxed Kacanov matrix A^T diag(w s max(|t|, eps)^{s-2} / d) A at
@@ -363,8 +368,15 @@ class _Assembly:
         c = self.w * self.s * np.maximum(np.abs(t), eps) ** (self.s - 2.0) / self.d
         if newton:
             c *= self.s - 1.0
-        M, m = self._band_map
-        return (M @ c).reshape(m + 1, -1)
+        cols, vals, widths = self._band_map
+        terms = vals * c.take(cols)
+        n = self.A.shape[1]
+        band = np.empty((len(widths), n))
+        start = 0
+        for k, width in enumerate(widths):
+            terms[start:start + width * n].reshape(width, n).sum(axis=0, out=band[k])
+            start += width * n
+        return band
 
     def broken_to_unique(self, v):
         return (np.bincount(self.unique_dof, v, minlength=self.n_unique)

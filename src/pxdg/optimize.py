@@ -15,6 +15,7 @@ that halving is what keeps the energy falling.
 Everything is deterministic: identical inputs produce identical iterates.
 """
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from .broken import BrokenFunction, interpolate
 from .functional import continuous_assembly, discrete_assembly
+from .quadrature import reference_rule
 
 __all__ = ["BfgsConfig", "SolveReport", "solve_dg", "solve_cg"]
 
@@ -47,6 +49,7 @@ class SolveReport:
     line_search_failures: int
     n_evals: int
     stop_reason: str
+    grad_tol: float  # converged at max|g| <= grad_tol, the config's grad_tol (1 + max|g0|)
     wall_time: float
     method: str
 
@@ -102,83 +105,95 @@ EPS_FLOOR = 1e-14
 NEWTON_RTOL = 1e-10
 
 
-def _band_blocks(ab, n):
-    """The band matrix ``ab`` (H[i + k, i] in row k, column i) as a block
-    tridiagonal (A, B, C) of m x m blocks: B[i] on the diagonal, A[i] coupling
-    block i to i - 1, C[i] = A[i + 1]^T to i + 1.  Identity rows pad it to
-    2^k - 1 blocks; band entries that reach below row n are ignored."""
-    m = ab.shape[0] - 1
+@functools.lru_cache(maxsize=32)
+def _block_index(m, n):
+    """Where the block tridiagonal form of an n x n band matrix with
+    half-bandwidth m, and its right-hand side, sit in ``[ab.ravel(), rhs, 0, 1]``.
+
+    The matrix is taken as N = 2^k - 1 block rows of b = max(m, 1) rows, padded
+    with identity rows.  The index array has shape (b, 2b + 1, N): for block row
+    i, its columns are ``[B | A | r]``, with B[i] the diagonal block, A[i] the
+    block coupling it to block i - 1 and r[i] the right-hand side.  The block
+    index is the last axis, so that numpy loops over it in one call.  Band
+    entries that reach below row n are ignored.
+    """
     b = max(m, 1)
     N = 2 ** (-(-n // b)).bit_length() - 1
-    band = np.zeros((m + 1, N * b))
-    band[0, n:] = 1.0
-    band[:, :n] = np.where(np.arange(n) + np.arange(m + 1)[:, None] < n, ab[:, :n], 0.0)
-    A = np.zeros((N, b, b))
-    B = np.empty((N, b, b))
-    for r in range(b):
-        for c in range(b):
-            B[:, r, c] = band[abs(r - c)].reshape(N, b)[:, min(r, c)]
-            if b + r - c <= m:
-                A[1:, r, c] = band[b + r - c].reshape(N, b)[:-1, c]
-    C = np.zeros_like(A)
-    C[:-1] = A[1:].transpose(0, 2, 1)
-    return A, B, C
-
-
-def _pivot_solve(B, X):
-    """B^{-1} X for a stack of blocks, by elimination without row exchanges.
-
-    Its pivots are the D of B = L D L^T: it raises ``np.linalg.LinAlgError``
-    unless every pivot is positive and finite, that is unless B is SPD.
-    """
-    b = B.shape[1]
-    M = np.concatenate((B, X), axis=2)
-    for j in range(b):
-        piv = M[:, j, j, None]
-        if not ((piv > 0.0) & (piv < np.inf)).all():
-            raise np.linalg.LinAlgError("non-positive or non-finite pivot")
-        M[:, j, j + 1:] /= piv
-        M[:, j + 1:, j + 1:] -= M[:, j + 1:, j, None] * M[:, j, None, j + 1:]
-    for j in range(b - 1, 0, -1):
-        M[:, :j, b:] -= M[:, :j, j, None] * M[:, j, None, b:]
-    return M[:, :, b:]
-
-
-def _cyclic_reduction(A, B, C, r):
-    """Solve the 2^k - 1 block rows A[i] x[i-1] + B[i] x[i] + C[i] x[i+1] = r[i]
-    by eliminating the even blocks and recursing on the odd ones, each of which
-    has two even neighbours.  This is the block LDL^T factorization in odd-even
-    order, with the even diagonal blocks of each level as its pivot blocks."""
-    b = B.shape[1]
-    E = _pivot_solve(B[0::2], np.concatenate((A[0::2], C[0::2], r[0::2, :, None]), axis=2))
-    if len(B) == 1:
-        return E[..., 2 * b]
-    # E = B_even^{-1} [A C r]; an odd block j couples to even blocks j and j + 1
-    LE = A[1::2] @ E[:-1]
-    RE = C[1::2] @ E[1:]
-    xo = _cyclic_reduction(-LE[..., :b],
-                           B[1::2] - LE[..., b:2 * b] - RE[..., :b],
-                           -RE[..., b:2 * b],
-                           r[1::2] - LE[..., 2 * b] - RE[..., 2 * b])
-    xo = np.concatenate((np.zeros((1, b)), xo, np.zeros((1, b))))
-    neighbours = np.concatenate((xo[:-1], xo[1:]), axis=1)[..., None]
-    x = np.empty_like(r)
-    x[0::2] = E[..., 2 * b] - (E[..., :2 * b] @ neighbours)[..., 0]
-    x[1::2] = xo[1:-1]
-    return x
+    zero = (m + 2) * n
+    i = np.arange(N)
+    row = i * b + np.arange(b)[:, None, None]
+    # B[i] has the columns i b + c, A[i] the columns (i - 1) b + c
+    col = (i - 1) * b + np.roll(np.arange(2 * b), b)[:, None]
+    lo, hi = np.minimum(row, col), np.maximum(row, col)
+    H = np.where((lo >= 0) & (hi < n) & (hi - lo <= m), (hi - lo) * n + lo, zero)
+    H = np.where((row == col) & (row >= n), zero + 1, H)
+    r = np.where(row < n, (m + 1) * n + row, zero)
+    index = np.concatenate((H, r), axis=1)
+    index.flags.writeable = False  # shared by every solve of this shape
+    return index
 
 
 def _band_solve(ab, rhs):
-    """Solve H x = rhs for the SPD band matrix H given by its lower band ``ab``.
+    """Solve H x = rhs for the SPD band matrix H given by its lower band ``ab``
+    (H[i + k, i] in row k, column i), by block cyclic reduction (Buzbee, Golub
+    & Nielson, SIAM J. Numer. Anal. 7, 1970) on the blocks of ``_block_index``.
 
-    Raises ``np.linalg.LinAlgError`` on a non-positive or non-finite pivot, so a
-    failed factorization never yields a step.
+    Each level eliminates its even blocks.  One pass of elimination without
+    row exchanges turns the stack ``[B | C | A | r]`` of every even block, with
+    C[i] = A[i + 1]^T, into ``B^{-1} [C | A | r]``.  The odd blocks, each
+    between two even ones, subtract their Schur complements in two batched
+    products and form the next level.  Back-substitution runs through the
+    levels in reverse.  A level costs the same few numpy calls whatever its
+    size, and there are log2 N of them.
+
+    The pivots of each elimination are the D of B = L D L^T.  Each is checked
+    positive and finite before it is divided by, so a matrix that is not SPD
+    raises ``np.linalg.LinAlgError``, as does a non-finite solution: a failed
+    factorization never yields a step.
     """
     n = rhs.size
-    A, B, C = _band_blocks(ab, n)
-    r = np.zeros(B.shape[0] * B.shape[1])
-    r[:n] = rhs
-    x = _cyclic_reduction(A, B, C, r.reshape(B.shape[:2])).ravel()[:n]
+    T = np.concatenate((ab.ravel(), rhs, (0.0, 1.0))).take(_block_index(ab.shape[0] - 1, n))
+    b = T.shape[0]
+    levels = []
+    while True:
+        even, odd = T[..., 0::2], T[..., 1::2]
+        no = odd.shape[2]
+        M = np.empty((b, 3 * b + 1, no + 1))
+        M[:, :b] = even[:, :b]
+        M[:, b:2 * b, :no] = odd[:, b:2 * b].transpose(1, 0, 2)
+        M[:, b:2 * b, no] = 0.0
+        M[:, 2 * b:] = even[:, b:]
+        for j in range(b):
+            piv = M[j, j]
+            if not 0.0 < piv.min() <= piv.max() < np.inf:
+                raise np.linalg.LinAlgError("non-positive or non-finite pivot")
+            M[j, j + 1:] /= piv
+            if j + 1 < b:
+                M[j + 1:, j + 1:] -= M[j + 1:, j, None] * M[j, j + 1:]
+        for j in range(b - 1, 0, -1):
+            M[:j, b:] -= M[:j, j, None] * M[j, b:]
+        E = M[:, b:]
+        levels.append(E)
+        if no == 0:
+            break
+        # with E = [E_C | E_A | E_r], odd block j between even blocks j and j + 1
+        # takes B - A E_C[j] - C E_A[j + 1], couples back by -A E_A[j] and has the
+        # right-hand side r - A E_r[j] - C E_r[j + 1], where C = A[j + 1]^T
+        left = np.einsum("ilj,lkj->ikj", odd[:, b:2 * b], E[..., :-1])
+        right = np.einsum("lij,lkj->ikj", even[:, b:2 * b, 1:], E[:, b:, 1:])
+        T = odd - left
+        np.negative(left[:, b:2 * b], out=T[:, b:2 * b])
+        T[:, :b] -= right[:, :b]
+        T[:, 2 * b] -= right[:, b]
+    # x holds the odd blocks of a level between zero blocks; the top level has none
+    x = np.zeros((b, 2))
+    for E in reversed(levels):
+        xe = E[:, 2 * b] - np.einsum("ilj,lj->ij", E[:, :2 * b],
+                                     np.concatenate((x[:, 1:], x[:, :-1])))
+        x, xo = np.zeros((b, 2 * E.shape[2] + 1)), x
+        x[:, 1::2] = xe
+        x[:, 2:-1:2] = xo[:, 1:-1]
+    x = x[:, 1:-1].T.ravel()[:n]
     if not np.all(np.isfinite(x)):
         raise np.linalg.LinAlgError("non-finite solution")
     return x
@@ -217,11 +232,11 @@ def _minimize(fg, x0, cfg, step):
 
     Returns ``(x, f, stats)``, with ``stats`` the iteration fields of
     ``SolveReport``.  ``n_evals`` counts every call of ``fg``, those of failed
-    searches included.  Ends converged at ``max|g| <= grad_tol (1 + max|g0|)``,
-    or unconverged with ``stop_reason`` "max_iters", "line_search_failed" (the
-    retry failed too), "bad_pivot" (the step matrix is not SPD) or "stalled"
-    (in ``STALL_ITERS`` steps the energy fell by no more than rounding,
-    ``FLAT_RTOL``, and max|g| did not halve).
+    searches included.  Ends converged at ``max|g| <= grad_tol (1 + max|g0|)``
+    (``stats["grad_tol"]``), or unconverged with ``stop_reason`` "max_iters",
+    "line_search_failed" (the retry failed too), "bad_pivot" (the step matrix
+    is not SPD) or "stalled" (in ``STALL_ITERS`` steps the energy fell by no
+    more than rounding, ``FLAT_RTOL``, and max|g| did not halve).
     """
     evals = 0
 
@@ -278,7 +293,8 @@ def _minimize(fg, x0, cfg, step):
     if stop is None:
         stop = "converged" if converged else "max_iters"
     return x, f, dict(iterations=it, grad_norm_history=g_hist, f_history=f_hist,
-                      line_search_failures=failures, n_evals=evals, stop_reason=stop)
+                      line_search_failures=failures, n_evals=evals, stop_reason=stop,
+                      grad_tol=tol)
 
 
 def _line_through_data(spec):
@@ -305,11 +321,26 @@ def _initial_dofs(spec, k, cfg, asm, continuous):
     return interpolate(spec.mesh, k, line).dof_vector()
 
 
+def _check_dg_quadrature(spec, k):
+    """DG's volume rows sample G + R(v), a polynomial of degree max(k - 1, l)
+    on each element.  A rule with fewer points than it has coefficients leaves
+    part of it unseen, and the minimizer of the discrete energy can then lie far
+    below the continuous one; evaluating the energy with such a rule is fine."""
+    l = spec.lifting.degree if spec.lifting is not None else k
+    need = max(k - 1, l) + 1
+    points = reference_rule(*spec.quadrature)[0].size
+    if points < need:
+        raise ValueError(f"quadrature {spec.quadrature!r} has {points} points per element; "
+                         f"DG with degree {k} and lifting degree {l} needs at least {need}")
+
+
 def _solve(spec, k, cfg, method):
     """Shared body of solve_dg and solve_cg; CG pins its Dirichlet values and
     minimizes over the remaining nodal values."""
     cfg = cfg or BfgsConfig()
     continuous = method == "cg"
+    if not continuous:
+        _check_dg_quadrature(spec, k)
     asm = (continuous_assembly if continuous else discrete_assembly)(spec, k)
     x = _initial_dofs(spec, k, cfg, asm, continuous)
     free = slice(None)
@@ -344,7 +375,10 @@ def _solve(spec, k, cfg, method):
 
 
 def solve_dg(spec, k, cfg=None):
-    """Minimize the penalized broken energy over degree-k broken polynomials."""
+    """Minimize the penalized broken energy over degree-k broken polynomials.
+
+    Raises ``ValueError`` if the quadrature has fewer than max(k - 1, l) + 1
+    points per element, l the lifting degree."""
     return _solve(spec, k, cfg, "dg")
 
 

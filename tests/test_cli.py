@@ -144,14 +144,37 @@ def test_config_file_with_flag_precedence(tmp_path, const2_spec):
 
 def test_config_file_values_take_the_flag_type(tmp_path, const2_spec):
     # --l defaults to None: its file value must still become an int, and act as --l
+    # (lifting degree 2 needs 3 quadrature points per element)
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"problem = custom:{const2_spec}\nl = 2\n")
     outs = [str(tmp_path / "file"), str(tmp_path / "flag")]
-    assert main(["solve", "--n", "4", "--config", str(cfgfile), "--out", outs[0]]) == 0
-    assert main(["solve", "--n", "4", "--problem", f"custom:{const2_spec}", "--l", "2",
-                 "--out", outs[1]]) == 0
+    assert main(["solve", "--n", "4", "--m-panels", "2", "--config", str(cfgfile),
+                 "--out", outs[0]]) == 0
+    assert main(["solve", "--n", "4", "--m-panels", "2", "--problem", f"custom:{const2_spec}",
+                 "--l", "2", "--out", outs[1]]) == 0
     file_terms, flag_terms = (open(os.path.join(o, "terms.csv")).read() for o in outs)
     assert file_terms == flag_terms
+
+
+@pytest.mark.parametrize("flags", [["--k", "2"], ["--k", "1", "--quad", "gauss", "--m-panels", "1"],
+                                   ["--k", "2", "--l", "3", "--m-panels", "2"]])
+def test_dg_quadrature_too_coarse_for_the_lifted_gradient_is_config_error(
+        tmp_path, capsys, flags):
+    # G + R(v) has degree max(k - 1, l): these rules have one point too few
+    code = main(["solve", "--n", "40", *flags, "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "needs at least" in err
+    assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("flags", [["--k", "2", "--l", "1"], ["--k", "2", "--m-panels", "2"],
+                                   ["--method", "cg", "--k", "2"]])
+def test_dg_quadrature_that_sees_the_lifted_gradient_converges(tmp_path, capsys, flags):
+    # CG has no lifting: two points see the derivative of a quadratic
+    code = main(["solve", "--n", "40", *flags, "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_OK
+    assert "stop=converged" in capsys.readouterr().out
 
 
 def test_unparsable_config_value_is_config_error(tmp_path, const2_spec, capsys):

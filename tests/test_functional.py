@@ -182,9 +182,10 @@ def test_gradient_matches_finite_differences():
 def band_to_dense(ab):
     """The symmetric matrix whose lower band ``ab`` holds H[i + k, i] at [k, i]."""
     n = ab.shape[1]
-    H = np.diag(ab[0])
-    for k in range(1, min(ab.shape[0], n)):
-        H += np.diag(ab[k, :n - k], -k) + np.diag(ab[k, :n - k], k)
+    H = np.zeros((n, n))
+    i = np.arange(n)
+    for k in range(min(ab.shape[0], n)):
+        H[i[k:], i[:n - k]] = H[i[:n - k], i[k:]] = ab[k, :n - k]
     return H
 
 
@@ -303,24 +304,35 @@ def test_gradient_and_hess_match_the_dense_term_operator():
 
 def test_band_solve_matches_dense_solve():
     rng = np.random.default_rng(2)
-    for n in (1, 2, 3, 4, 7, 8, 9, 31, 100):
-        for m in (0, 1, 2, 3, 5):
+    for m in (0, 1, 2, 3, 5):
+        # block counts at and just past 2^k - 1 blocks of max(m, 1) rows
+        b = max(m, 1)
+        blocks = {(2 ** k - 1) * b + d for k in (1, 2, 3, 4) for d in (-1, 0, 1)}
+        for n in sorted({1, 2, 3, 4, 7, 8, 9, 31, 100} | blocks - {0}):
             ab = 0.3 * rng.normal(size=(m + 1, n))
             ab[0] = np.abs(ab[0]) + 2.0 * (m + 1)  # diagonally dominant: SPD
             rhs = rng.normal(size=n)
             want = np.linalg.solve(band_to_dense(ab), rhs)
             assert np.max(np.abs(_band_solve(ab, rhs) - want)) <= 1e-12 * np.max(np.abs(want))
-    # the Kacanov matrix of the paper energy; band entries past the last row are ignored
-    asm = discrete_assembly(dg_spec(paper1d(), benchmark_mesh(40)), 1)
-    x = rng.normal(scale=1e5, size=asm.ndof)
-    t = asm.residual(x)
-    ab = asm.hess(t, 1e-3 * np.max(np.abs(t)))
-    for cut in (slice(None), slice(1, -1)):
-        H = band_to_dense(ab)[cut, cut]
-        rhs = rng.normal(size=H.shape[0])
-        want = np.linalg.solve(H, rhs)
-        got = _band_solve(ab[:, cut], rhs)
-        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    # the Kacanov matrices of the paper energy, DG at 40 and 1280 elements (m = 3,
+    # n = 80 and 2560) and CG at 82 intervals (m = 1), with the cuts of the
+    # solver; band entries past the last row are ignored
+    prob = paper1d()
+    for asm, cuts in (
+        (discrete_assembly(dg_spec(prob, benchmark_mesh(40)), 1), (slice(None), slice(1, -1))),
+        (discrete_assembly(dg_spec(prob, benchmark_mesh(1280)), 1), (slice(None),)),
+        (continuous_assembly(cg_spec(prob, benchmark_mesh(82)), 1),
+         (slice(1, -1), slice(1, None), slice(0, -1))),
+    ):
+        x = rng.normal(scale=1e5, size=asm.A.shape[1])
+        t = asm.residual(x)
+        ab = asm.hess(t, 1e-3 * np.max(np.abs(t)))
+        for cut in cuts:
+            H = band_to_dense(ab)[cut, cut]
+            rhs = rng.normal(size=H.shape[0])
+            want = np.linalg.solve(H, rhs)
+            got = _band_solve(ab[:, cut], rhs)
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_gradient_of_zero_candidate_is_boundary_local():

@@ -133,6 +133,26 @@ def test_solve_report_fields():
     assert rep.n_evals >= rep.iterations >= 1
 
 
+def test_converged_exactly_at_the_absolute_tolerance():
+    # grad_tol is the absolute tolerance grad_tol (1 + max|g0|); converged,
+    # max_iters, bad_pivot and stalled runs
+    quadratic = quadratic_problem(n=8)[1]
+    negated = quadratic_problem(n=6)[1]
+    asm = discrete_assembly(negated, 1)
+    hess = asm.hess
+    asm.hess = lambda *args: -hess(*args)
+    runs = [(quadratic, BfgsConfig()), (hat_problem(), BfgsConfig(grad_tol=1e-3)),
+            (hat_problem(), BfgsConfig(max_iters=1)), (negated, BfgsConfig()),
+            (quadratic, BfgsConfig(grad_tol=1e-16, max_iters=500))]
+    reasons = set()
+    for spec, cfg in runs:
+        rep = solve_dg(spec, 1, cfg)
+        reasons.add(rep.stop_reason)
+        assert rep.grad_tol == cfg.grad_tol * (1.0 + rep.grad_norm_history[0])
+        assert rep.converged == (rep.grad_norm_history[-1] <= rep.grad_tol)
+    assert reasons == {"converged", "max_iters", "bad_pivot", "stalled"}
+
+
 def test_zero_initial_guess():
     mesh, spec = quadratic_problem()
     rep = solve_dg(spec, 1, BfgsConfig(initial_guess=np.zeros(2 * mesh.n_elements)))
@@ -164,6 +184,13 @@ def test_band_solve_rejects_indefinite_and_non_finite():
     broken[1, 2] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
         _band_solve(broken, np.ones(6))
+    # tridiagonal (0.9, 1, 0.9) on 7 rows: every diagonal entry, and so every
+    # pivot of the first level, is 1, but the matrix is indefinite; its first
+    # negative pivot is 1 - 2 * 0.81 in the second level
+    indefinite = np.vstack((np.ones(7), np.full(7, 0.9)))
+    assert np.linalg.eigvalsh(np.eye(7) + 0.9 * (np.eye(7, k=1) + np.eye(7, k=-1)))[0] < 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        _band_solve(indefinite, np.ones(7))
 
 
 def test_bad_pivot_ends_the_solve_without_a_step():
