@@ -195,7 +195,7 @@ def cmd_solve(args):
                        payload if kind == "paper1d" else None,
                        title=f"{args.method} n={mesh.n_elements}")
     print(f"{args.method} n={mesh.n_elements}: energy={rep.breakdown.total:.17g} "
-          f"iters={rep.iterations} max|g|={rep.grad_norm_history[-1]:.6g} "
+          f"iters={rep.iterations} evals={rep.n_evals} max|g|={rep.grad_norm_history[-1]:.6g} "
           f"tol={rep.grad_tol:.6g} converged={rep.converged} stop={rep.stop_reason}")
     return EXIT_OK if rep.converged else EXIT_NO_CONVERGENCE
 

@@ -30,8 +30,9 @@ the same way), and sum the terms' row segments in list order.  ``hess`` gives
 the relaxed Kacanov matrix A^T diag(w s max(|t|, eps)^{s-2} / d) A, or the
 Hessian with the extra factor s - 1, in band storage: the matrix is banded, and
 its pattern is fixed, so one row operator of the same kind takes the term
-weights to the band.  The conforming map U is an index array: the shared nodal
-value each broken DOF takes.
+weights to the band.  ``duality_gap`` bounds the distance of the energy to its
+minimum from a dual point of the terms.  The conforming map U is an index
+array: the shared nodal value each broken DOF takes.
 """
 
 from dataclasses import dataclass, field, fields
@@ -130,9 +131,13 @@ def _power(t, s):
     return np.abs(t) ** s
 
 
-def _dpower(t, s):
-    """d/dt |t|^s = s |t|^{s-2} t, defined as 0 at t = 0 for s > 1."""
-    return s * np.abs(t) ** (s - 1.0) * np.sign(t)
+def _power_and_slope(t, s):
+    """|t|^s and its derivative s |t|^{s-2} t (0 at t = 0 for s > 1), from the
+    one fractional power |t|^{s-1}; needs s >= 1.  The product |t|^{s-1} |t|
+    can differ from ``_power`` in the last bit."""
+    a = np.abs(t)
+    q = a ** (s - 1.0)
+    return q * a, s * q * np.sign(t)
 
 
 _FIELDS = [f.name for f in fields(TermBreakdown)]
@@ -312,29 +317,55 @@ class _Assembly:
         """The lifted jumps at the quadrature points (DG: A's volume rows are Gv + Rv)."""
         return _RowOp(*_row_blocks(*self._rv_blocks), (self.xq.size, self.ndof))
 
-    def _term_values(self, resid):
-        """Each term's value at the residual A x - b, in term order."""
-        c = self.w * _power(resid, self.s) / self.d
+    def _term_values(self, power):
+        """Each term's value from |A x - b|^s, in term order."""
+        c = self.w * power / self.d
         return [float(np.sum(c[a:b])) for a, b in self.segments]
 
     def residual(self, x):
         return self.A @ x - self.b
 
     def terms(self, x):
-        parts = self._term_values(self.residual(x))
+        parts = self._term_values(_power(self.residual(x), self.s))
         sums = np.bincount(self.field_index, parts, minlength=len(_FIELDS))
         return TermBreakdown(*sums.tolist())
 
     def value_and_grad(self, x):
-        resid = self.residual(x)
+        power, slope = _power_and_slope(self.residual(x), self.s)
         val = 0.0
-        for part in self._term_values(resid):
+        for part in self._term_values(power):
             val += part  # left to right; sum() compensates on Python >= 3.12
-        grad = self.AT @ (self.w * _dpower(resid, self.s) / self.d)
+        grad = self.AT @ (self.w * slope / self.d)
         return val, grad
 
     def gradient(self, v):
         return self.value_and_grad(v)[1]
+
+    def slopes(self, t):
+        """The term slopes y = w s |t|^{s-2} t / d at the residual t, so that
+        A^T y is the gradient."""
+        return self.w * _power_and_slope(t, self.s)[1] / self.d
+
+    def duality_gap(self, x, y):
+        """(E(x) - D(y), its rounding bound) for a dual point y with A^T y = 0
+        on the DOFs that are free; the others are pinned at x.
+
+        With a = w / d, each term phi(t) = a |t|^s has the conjugate
+        phi*(y) = (s - 1) a (|y| / (a s))^{s / (s - 1)}, s > 1.  By weak
+        duality every x' with the pinned values of x has E(x') >= D(y), so the
+        gap bounds E(x) - min E.  It is the sum of the Fenchel-Young terms
+        phi(t) + phi*(y) - y t >= 0; each of their three parts is rounded to
+        about u of its size, which the second value adds up.  A phi* that
+        overflows is a gap of +inf."""
+        t = self.residual(x)
+        a = self.w / self.d
+        s = self.s
+        phi = a * _power(t, s)
+        with np.errstate(over="ignore"):
+            conj = (s - 1.0) * a * (np.abs(y) / (a * s)) ** (s / (s - 1.0))
+        yt = y * t
+        return (float(np.sum(phi + conj - yt)),
+                np.finfo(float).eps * float(np.sum(phi + conj + np.abs(yt))))
 
     @cached_property
     def _band_map(self):
@@ -358,16 +389,21 @@ class _Assembly:
                 np.concatenate([d.vals.ravel() for d in diagonals]),
                 [d.vals.shape[0] for d in diagonals])
 
-    def hess(self, t, eps, newton=False):
-        """The relaxed Kacanov matrix A^T diag(w s max(|t|, eps)^{s-2} / d) A at
-        the residual t = A x - b, as its lower band: an (m + 1, n) array with
-        H[i + k, i] in row k, column i.  For s <= 2 its quadratic model
-        majorizes the energy when eps = 0; at s = 2 it is the Hessian.
-        ``newton`` multiplies each weight by s - 1, which gives the Hessian
-        wherever |t| >= eps."""
+    def weights(self, t, eps, newton=False):
+        """The weights c = w s max(|t|, eps)^{s-2} / d of the relaxed Kacanov
+        matrix A^T diag(c) A at the residual t = A x - b; ``newton`` multiplies
+        each by s - 1, which gives the Hessian's wherever |t| >= eps."""
         c = self.w * self.s * np.maximum(np.abs(t), eps) ** (self.s - 2.0) / self.d
         if newton:
             c *= self.s - 1.0
+        return c
+
+    def hess(self, t, eps, newton=False):
+        """The relaxed Kacanov matrix A^T diag(c) A of ``weights`` as its lower
+        band: an (m + 1, n) array with H[i + k, i] in row k, column i.  For
+        s <= 2 its quadratic model majorizes the energy when eps = 0; at s = 2
+        it is the Hessian."""
+        c = self.weights(t, eps, newton)
         cols, vals, widths = self._band_map
         terms = vals * c.take(cols)
         n = self.A.shape[1]

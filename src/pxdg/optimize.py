@@ -7,10 +7,19 @@ few neighbouring DOFs, so the relaxed Kacanov matrix
 definite.  ``solve_dg`` and ``solve_cg`` take each step from one banded solve with
 it (Diening, Fornasier, Tomasi & Wank, Numer. Math. 145, 2020: for s <= 2 its
 quadratic model majorizes the energy), shrinking eps tenfold per step from
-max|t| to ``EPS_FLOOR`` max|t| and then switching to the Newton weights
-(the factor s - 1) near the minimum.  The step length halves from 1 until the
-energy decreases sufficiently; where s > 2 and the model no longer majorizes,
-that halving is what keeps the energy falling.
+max|t| to the float64 rounding level u max|t| (u = 2.2e-16, the machine
+epsilon) and then switching to the Newton weights (the factor s - 1) near the
+minimum.  The floor is one global number, not one per row: floored only at
+their own rounding level, the rows of the smallest residuals take weights near
+1e19 and the banded solve loses its pivots.  The step length halves from 1
+until the energy decreases sufficiently; where s > 2 and the model no longer
+majorizes, that halving is what keeps the energy falling.
+
+A run converges at max|g| <= grad_tol (1 + max|g0|).  Where s is near 1 a
+term's slope s |t|^{s-1} stays O(1) however small its residual, so that test
+can stall with the energy flat in float64; such a run is judged instead by a
+duality gap, which bounds E(x) - min E (``_dual_point``,
+``_Assembly.duality_gap``).
 
 Everything is deterministic: identical inputs produce identical iterates.
 """
@@ -49,7 +58,9 @@ class SolveReport:
     line_search_failures: int
     n_evals: int
     stop_reason: str
-    grad_tol: float  # converged at max|g| <= grad_tol, the config's grad_tol (1 + max|g0|)
+    grad_tol: float  # converged at max|g| <= grad_tol, the config's grad_tol (1 + max|g0|),
+    # or where that stalls, at gap <= the config's grad_tol |f|
+    gap: object  # where the gradient test stalled, the duality gap with its rounding; else None
     wall_time: float
     method: str
 
@@ -98,8 +109,6 @@ def _armijo_search(fg, x, p, f0, dphi0, max_iter=60):
     raise _LineSearchFailure
 
 
-# Floor of the Kacanov relaxation eps, relative to max|A x - b|.
-EPS_FLOOR = 1e-14
 # Relative energy change of a step at the eps floor below which Kacanov steps
 # switch to Newton weights.
 NEWTON_RTOL = 1e-10
@@ -202,9 +211,11 @@ def _band_solve(ab, rhs):
 class _Kacanov:
     """Relaxed Kacanov steps: form the residual t = A x - b once per step and
     solve hess(t, eps) p = -g, with eps = max|t| at the first step and
-    max(eps / 10, EPS_FLOOR max|t|) after each step.  Once eps is at its floor
-    and a step changed the energy by at most NEWTON_RTOL relative, the weights
-    take the factor s - 1 of the Hessian for the rest of the run."""
+    max(eps / 10, u max|t|) after each step, u the float64 machine epsilon: the
+    floor is the rounding level of the largest residual, shared by every row.
+    Once eps is at its floor and a step changed the energy by at most
+    NEWTON_RTOL relative, the weights take the factor s - 1 of the Hessian for
+    the rest of the run."""
 
     def __init__(self, hess, residual):
         self.hess = hess
@@ -219,14 +230,14 @@ class _Kacanov:
         if self.eps is None:
             self.eps = tmax
         else:
-            floor = EPS_FLOOR * tmax
+            floor = np.finfo(float).eps * tmax
             self.eps = max(self.eps / 10.0, floor)
             self.newton |= self.eps == floor and abs(self.f - f) <= NEWTON_RTOL * abs(f)
         self.f = f
         return _band_solve(self.hess(t, self.eps, self.newton), -g)
 
 
-def _minimize(fg, x0, cfg, step):
+def _minimize(fg, x0, cfg, step, gap):
     """Line-search descent along ``step(x, f, g)``, or along -g where that is
     not a descent direction; after a failed search, one retry along -g.
 
@@ -236,7 +247,10 @@ def _minimize(fg, x0, cfg, step):
     (``stats["grad_tol"]``), or unconverged with ``stop_reason`` "max_iters",
     "line_search_failed" (the retry failed too), "bad_pivot" (the step matrix
     is not SPD) or "stalled" (in ``STALL_ITERS`` steps the energy fell by no
-    more than rounding, ``FLAT_RTOL``, and max|g| did not halve).
+    more than rounding, ``FLAT_RTOL``, and max|g| did not halve).  A run that
+    would stall is converged instead where ``gap(x)``, a bound on
+    E(x) - min E with its rounding, is at most the config's grad_tol |f|
+    (``stats["gap"]``).
     """
     evals = 0
 
@@ -255,6 +269,7 @@ def _minimize(fg, x0, cfg, step):
     converged = gmax <= tol
     stop = None
     f_ref, g_ref, flat_steps = f, gmax, 0
+    end_gap = None
     it = 0
     while not converged and it < cfg.max_iters:
         try:
@@ -288,13 +303,28 @@ def _minimize(fg, x0, cfg, step):
         else:
             flat_steps += 1
             if flat_steps >= STALL_ITERS and not converged:
-                stop = "stalled"
+                end_gap = gap(x)
+                converged = end_gap <= cfg.grad_tol * abs(f)
+                stop = "converged" if converged else "stalled"
                 break
     if stop is None:
         stop = "converged" if converged else "max_iters"
     return x, f, dict(iterations=it, grad_norm_history=g_hist, f_history=f_hist,
                       line_search_failures=failures, n_evals=evals, stop_reason=stop,
-                      grad_tol=tol)
+                      grad_tol=tol, gap=end_gap)
+
+
+def _dual_point(asm, x, free, eps, newton):
+    """The term slopes y0 at x, projected so that A^T y = 0 on the ``free``
+    DOFs: y = y0 - C A H^{-1} A^T y0, with C the Kacanov weights at (eps,
+    newton) and H = A^T C A over the free DOFs.  A^T y0 is the gradient, so at
+    a minimizer the correction vanishes.  Raises ``np.linalg.LinAlgError``
+    where H is not SPD."""
+    t = asm.residual(x)
+    y = asm.slopes(t)
+    dx = np.zeros_like(x)
+    dx[free] = _band_solve(asm.hess(t, eps, newton)[:, free], (asm.AT @ y)[free])
+    return y - asm.weights(t, eps, newton) * (asm.A @ dx)
 
 
 def _line_through_data(spec):
@@ -363,9 +393,18 @@ def _solve(spec, k, cfg, method):
         x[free] = xfree
         return asm.residual(x)
 
+    kacanov = _Kacanov(hess, residual)
+
+    def gap(xfree):
+        x[free] = xfree
+        try:
+            y = _dual_point(asm, x, free, kacanov.eps, kacanov.newton)
+        except np.linalg.LinAlgError:
+            return np.inf
+        return sum(asm.duality_gap(x, y))
+
     t0 = time.perf_counter()
-    x[free], f, stats = _minimize(fg, x[free].copy(), cfg,
-                                  _Kacanov(hess, residual).direction)
+    x[free], f, stats = _minimize(fg, x[free].copy(), cfg, kacanov.direction, gap)
     wall = time.perf_counter() - t0
     if not np.all(np.isfinite(x)) or not np.isfinite(f):
         raise ArithmeticError(f"{method.upper()} solve diverged to a non-finite state")

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import xml.dom.minidom
@@ -23,7 +24,10 @@ def test_solve_custom_sanity(tmp_path, const2_spec, capsys):
     assert code == 0
     for name in ("solution.csv", "terms.csv", "trace.csv"):
         assert os.path.exists(os.path.join(out, name))
-    assert "converged=True stop=converged" in capsys.readouterr().out
+    line = capsys.readouterr().out
+    assert "converged=True stop=converged" in line
+    iters, evals = map(int, re.search(r" iters=(\d+) evals=(\d+) ", line).groups())
+    assert evals >= iters >= 1
 
 
 def test_solve_paper_writes_errors_and_plot(tmp_path):
