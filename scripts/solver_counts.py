@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Step and evaluation counts of the solver on a fixed corpus of solves.
+
+For each solve it prints the steps, the energy evaluations, the steps taken
+with Newton weights, the stop reason, the duality gap (where a stalled
+gradient test asked for it) and the wall time of the minimization.  The
+corpus is every solve of the benchmark's workloads (``perfbench/workloads.py``:
+paper-figures, dg-dense, dg-limited, const-p2), DG on the paper problem at 2560
+and 5120 elements, the hat exponent with q = r = 3 fidelity for DG and CG at 10
+and 40 elements, and DG with ``--k 2 --l 1`` at 20, 30, ..., 80 elements.
+Counts are deterministic; wall times are not.  Nothing is written to disk.
+
+    python3 scripts/solver_counts.py
+"""
+
+import os
+import sys
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+
+import numpy as np
+
+from perfbench.workloads import BUILDERS
+from pxdg.exponents import ExponentField
+from pxdg.functional import FunctionalSpec
+from pxdg.meshes import uniform_mesh
+from pxdg.optimize import BfgsConfig, solve_cg, solve_dg
+from pxdg.problems import benchmark_mesh, dg_spec, paper1d
+
+
+def hat_fidelity_problem(n):
+    """p down to 1.01 at the origin, q = r = 3 fidelity, Dirichlet left, Neumann right."""
+    p3 = ExponentField.constant(3.0)
+    return FunctionalSpec(uniform_mesh(-1, 1, n, "left"), ExponentField.hat_family(0.01, 0.01),
+                          q=p3, r=p3, xi=np.cos, fidelity_on=True, u_D={"left": -1.0})
+
+
+def corpus():
+    """(label, method, spec, degree, config) of every solve."""
+    for name, build in BUILDERS.items():
+        for case in build():
+            yield (f"{name}/{case.label}", case.method, case.spec, 1,
+                   BfgsConfig(grad_tol=case.tol, max_iters=case.max_iters))
+    prob = paper1d()
+    for n in (2560, 5120):
+        yield f"paper-dg-{n}", "dg", dg_spec(prob, benchmark_mesh(n)), 1, BfgsConfig(max_iters=20000)
+    for method in ("dg", "cg"):
+        for n in (10, 40):
+            yield f"hat-fidelity-{method}-{n}", method, hat_fidelity_problem(n), 1, BfgsConfig()
+    for n in range(20, 81, 10):
+        yield (f"paper-dg-k2-l1-{n}", "dg", dg_spec(prob, benchmark_mesh(n), l=1), 2,
+               BfgsConfig(max_iters=20000))
+
+
+def main():
+    print(f"{'solve':<28} {'steps':>6} {'evals':>6} {'newton':>6} {'stop':<18} "
+          f"{'gap':>10} {'wall_s':>8}")
+    for label, method, spec, k, cfg in corpus():
+        rep = (solve_dg if method == "dg" else solve_cg)(spec, k, cfg)
+        gap = "-" if rep.gap is None else f"{rep.gap:.3g}"
+        print(f"{label:<28} {rep.iterations:>6} {rep.n_evals:>6} {rep.newton_steps:>6} "
+              f"{rep.stop_reason:<18} {gap:>10} {rep.wall_time:>8.4f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -55,7 +55,9 @@ def _build_parser():
         p.add_argument("--quad", default="trapezoid", choices=["trapezoid", "gauss"])
         p.add_argument("--m-panels", type=int, default=1, dest="m_panels",
                        help="panels (trapezoid) or points (gauss) per element")
-        p.add_argument("--tol", type=float, default=1e-8, help="relative gradient tolerance")
+        p.add_argument("--tol", type=float, default=1e-8,
+                       help="relative gradient tolerance (max|g| against 1 + max|g0|), and the "
+                       "relative energy tolerance of the duality gap of a stalled run")
         p.add_argument("--max-iters", type=int, default=20000, dest="max_iters")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--plot", choices=["svg"], help="also write SVG plots")
@@ -194,9 +196,11 @@ def cmd_solve(args):
         _solution_plot(os.path.join(args.out, "solution.svg"), rep,
                        payload if kind == "paper1d" else None,
                        title=f"{args.method} n={mesh.n_elements}")
+    gap = "" if rep.gap is None else f"gap={rep.gap:.6g} "
     print(f"{args.method} n={mesh.n_elements}: energy={rep.breakdown.total:.17g} "
-          f"iters={rep.iterations} evals={rep.n_evals} max|g|={rep.grad_norm_history[-1]:.6g} "
-          f"tol={rep.grad_tol:.6g} converged={rep.converged} stop={rep.stop_reason}")
+          f"iters={rep.iterations} evals={rep.n_evals} newton={rep.newton_steps} "
+          f"max|g|={rep.grad_norm_history[-1]:.6g} tol={rep.grad_tol:.6g} {gap}"
+          f"converged={rep.converged} stop={rep.stop_reason}")
     return EXIT_OK if rep.converged else EXIT_NO_CONVERGENCE
 
 

@@ -8,12 +8,16 @@ definite.  ``solve_dg`` and ``solve_cg`` take each step from one banded solve wi
 it (Diening, Fornasier, Tomasi & Wank, Numer. Math. 145, 2020: for s <= 2 its
 quadratic model majorizes the energy), shrinking eps tenfold per step from
 max|t| to the float64 rounding level u max|t| (u = 2.2e-16, the machine
-epsilon) and then switching to the Newton weights (the factor s - 1) near the
-minimum.  The floor is one global number, not one per row: floored only at
+epsilon).  The floor is one global number, not one per row: floored only at
 their own rounding level, the rows of the smallest residuals take weights near
-1e19 and the banded solve loses its pivots.  The step length halves from 1
-until the energy decreases sufficiently; where s > 2 and the model no longer
-majorizes, that halving is what keeps the energy falling.
+1e19 and the banded solve loses its pivots.  At the floor the error of a row
+with s near 1 shrinks only by a factor of about 2 - s per step, so once a
+step there changes the energy by at most NEWTON_RTOL relative, the steps take
+the Newton weights (the factor s - 1).  The switch is two-way: after a Newton
+step that the line search shortened, one step takes the relaxed Kacanov
+weights again.  The step length halves from 1 until the energy decreases
+sufficiently; where s > 2 and the model no longer majorizes, that halving is
+what keeps the energy falling.
 
 A run converges at max|g| <= grad_tol (1 + max|g0|).  Where s is near 1 a
 term's slope s |t|^{s-1} stays O(1) however small its residual, so that test
@@ -57,6 +61,7 @@ class SolveReport:
     f_history: list
     line_search_failures: int
     n_evals: int
+    newton_steps: int  # steps taken with Newton weights
     stop_reason: str
     grad_tol: float  # converged at max|g| <= grad_tol, the config's grad_tol (1 + max|g0|),
     # or where that stalls, at gap <= the config's grad_tol |f|
@@ -109,9 +114,9 @@ def _armijo_search(fg, x, p, f0, dphi0, max_iter=60):
     raise _LineSearchFailure
 
 
-# Relative energy change of a step at the eps floor below which Kacanov steps
+# Relative energy change of a step at the eps floor from which Kacanov steps
 # switch to Newton weights.
-NEWTON_RTOL = 1e-10
+NEWTON_RTOL = 1e-8
 
 
 @functools.lru_cache(maxsize=32)
@@ -213,18 +218,25 @@ class _Kacanov:
     solve hess(t, eps) p = -g, with eps = max|t| at the first step and
     max(eps / 10, u max|t|) after each step, u the float64 machine epsilon: the
     floor is the rounding level of the largest residual, shared by every row.
-    Once eps is at its floor and a step changed the energy by at most
-    NEWTON_RTOL relative, the weights take the factor s - 1 of the Hessian for
-    the rest of the run."""
+
+    From the first step at the floor that changed the energy by at most
+    NEWTON_RTOL relative, the weights take the factor s - 1 of the Hessian
+    (Newton steps), except right after a Newton step that the line search
+    shortened (alpha < 1): that step's quadratic model overshot, so the next
+    step takes the relaxed Kacanov weights, whose model majorizes the energy
+    for s <= 2, and the one after returns to Newton.  ``newton_steps`` counts
+    the steps taken with Newton weights."""
 
     def __init__(self, hess, residual):
         self.hess = hess
         self.residual = residual
         self.eps = None
         self.f = None
+        self.newton_phase = False
         self.newton = False
+        self.newton_steps = 0
 
-    def direction(self, x, f, g):
+    def direction(self, x, f, g, alpha):
         t = self.residual(x)
         tmax = float(np.max(np.abs(t)))
         if self.eps is None:
@@ -232,14 +244,19 @@ class _Kacanov:
         else:
             floor = np.finfo(float).eps * tmax
             self.eps = max(self.eps / 10.0, floor)
-            self.newton |= self.eps == floor and abs(self.f - f) <= NEWTON_RTOL * abs(f)
+            self.newton_phase |= self.eps == floor and abs(self.f - f) <= NEWTON_RTOL * abs(f)
         self.f = f
-        return _band_solve(self.hess(t, self.eps, self.newton), -g)
+        self.newton = self.newton_phase and not (self.newton and alpha < 1.0)
+        p = _band_solve(self.hess(t, self.eps, self.newton), -g)
+        self.newton_steps += int(self.newton)
+        return p
 
 
 def _minimize(fg, x0, cfg, step, gap):
-    """Line-search descent along ``step(x, f, g)``, or along -g where that is
-    not a descent direction; after a failed search, one retry along -g.
+    """Line-search descent along ``step(x, f, g, alpha)``, with alpha the step
+    length the line search accepted on the previous step (1 at the first), or
+    along -g where that is not a descent direction; after a failed search, one
+    retry along -g.
 
     Returns ``(x, f, stats)``, with ``stats`` the iteration fields of
     ``SolveReport``.  ``n_evals`` counts every call of ``fg``, those of failed
@@ -271,9 +288,10 @@ def _minimize(fg, x0, cfg, step, gap):
     f_ref, g_ref, flat_steps = f, gmax, 0
     end_gap = None
     it = 0
+    alpha = 1.0
     while not converged and it < cfg.max_iters:
         try:
-            p = step(x, f, g)
+            p = step(x, f, g, alpha)
         except np.linalg.LinAlgError:
             stop = "bad_pivot"
             break
@@ -410,7 +428,8 @@ def _solve(spec, k, cfg, method):
         raise ArithmeticError(f"{method.upper()} solve diverged to a non-finite state")
     dofs = asm.unique_to_broken(x) if continuous else x
     u = BrokenFunction.from_dofs(spec.mesh, k, dofs, continuous=continuous)
-    return SolveReport(u, asm.terms(x), **stats, wall_time=wall, method=method)
+    return SolveReport(u, asm.terms(x), **stats, newton_steps=kacanov.newton_steps,
+                       wall_time=wall, method=method)
 
 
 def solve_dg(spec, k, cfg=None):

@@ -28,6 +28,9 @@ def test_solve_custom_sanity(tmp_path, const2_spec, capsys):
     assert "converged=True stop=converged" in line
     iters, evals = map(int, re.search(r" iters=(\d+) evals=(\d+) ", line).groups())
     assert evals >= iters >= 1
+    newton = int(re.search(r" evals=\d+ newton=(\d+) ", line).group(1))
+    assert 0 <= newton <= iters
+    assert "gap=" not in line  # the gradient test converged; no gap was taken
 
 
 def test_solve_paper_writes_errors_and_plot(tmp_path):
