@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Step and evaluation counts of the solver on a fixed corpus of solves.
 
-For each solve it prints the steps, the energy evaluations, the steps taken
-with Newton weights, the stop reason, the duality gap (where a stalled
-gradient test asked for it) and the wall time of the minimization.  The
-corpus is every solve of the benchmark's workloads (``perfbench/workloads.py``:
-paper-figures, dg-dense, dg-limited, const-p2), DG on the paper problem at 2560
-and 5120 elements, the hat exponent with q = r = 3 fidelity for DG and CG at 10
-and 40 elements, and DG with ``--k 2 --l 1`` at 20, 30, ..., 80 elements.
+For each solve it prints the steps, the energy evaluations, the banded solves
+with Newton weights, the line-search failures, the stop reason, the duality
+gap over the energy, ``gap/|E|``, to read against the solve's tol (taken at
+the last step at the Kacanov eps floor; ``-`` where no step reached it) and
+the wall time of the minimization.  The corpus is every solve of the
+benchmark's workloads (``perfbench/workloads.py``: paper-figures, dg-dense,
+dg-limited, const-p2), DG on the paper problem at 2560 and 5120 elements, the
+hat exponent with q = r = 3 fidelity for DG and CG at 10 and 40 elements, and
+DG with ``--k 2 --l 1`` at 20, 30, ..., 80 elements.
 Counts are deterministic; wall times are not.  Nothing is written to disk.
 
     python3 scripts/solver_counts.py
@@ -54,13 +56,14 @@ def corpus():
 
 
 def main():
-    print(f"{'solve':<28} {'steps':>6} {'evals':>6} {'newton':>6} {'stop':<18} "
-          f"{'gap':>10} {'wall_s':>8}")
+    print(f"{'solve':<28} {'steps':>6} {'evals':>6} {'newton':>6} {'ls_fail':>7} "
+          f"{'stop':<18} {'gap/|E|':>10} {'wall_s':>8}")
     for label, method, spec, k, cfg in corpus():
         rep = (solve_dg if method == "dg" else solve_cg)(spec, k, cfg)
-        gap = "-" if rep.gap is None else f"{rep.gap:.3g}"
+        gap = "-" if rep.gap is None else f"{rep.gap / abs(rep.f_history[-1]):.3g}"
         print(f"{label:<28} {rep.iterations:>6} {rep.n_evals:>6} {rep.newton_steps:>6} "
-              f"{rep.stop_reason:<18} {gap:>10} {rep.wall_time:>8.4f}")
+              f"{rep.line_search_failures:>7} {rep.stop_reason:<18} {gap:>10} "
+              f"{rep.wall_time:>8.4f}")
     return 0
 
 

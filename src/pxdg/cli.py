@@ -57,7 +57,8 @@ def _build_parser():
                        help="panels (trapezoid) or points (gauss) per element")
         p.add_argument("--tol", type=float, default=1e-8,
                        help="relative gradient tolerance (max|g| against 1 + max|g0|), and the "
-                       "relative energy tolerance of the duality gap of a stalled run")
+                       "relative energy tolerance of the duality gap that each step at the "
+                       "Kacanov eps floor takes")
         p.add_argument("--max-iters", type=int, default=20000, dest="max_iters")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--plot", choices=["svg"], help="also write SVG plots")

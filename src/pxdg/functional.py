@@ -27,12 +27,14 @@ most a few neighbouring DOFs, so A is held in numpy as a fixed number of
 gradient A^T (w s |t|^{s-2} t / d) with t = A x - b (zero where t = 0), and the
 per-term breakdown each take one product with it (and with its transpose, held
 the same way), and sum the terms' row segments in list order.  ``hess`` gives
-the relaxed Kacanov matrix A^T diag(w s max(|t|, eps)^{s-2} / d) A, or the
-Hessian with the extra factor s - 1, in band storage: the matrix is banded, and
-its pattern is fixed, so one row operator of the same kind takes the term
-weights to the band.  ``duality_gap`` bounds the distance of the energy to its
-minimum from a dual point of the terms.  The conforming map U is an index
-array: the shared nodal value each broken DOF takes.
+A^T diag(c) A in band storage for the term weights c of ``weights``: the relaxed
+Kacanov weights w s max(|t|, eps)^{s-2} / d, or the Hessian's with the extra
+factor s - 1.  The matrix is banded, and its pattern is fixed, so one row
+operator of the same kind takes the term weights to the band.  ``duality_gap``
+bounds the distance of the energy to its minimum from a dual point of the
+terms, which ``dual_point`` builds from one solve with that band.  The
+conforming map U is an index array: the shared nodal value each broken DOF
+takes.
 """
 
 from dataclasses import dataclass, field, fields
@@ -341,14 +343,18 @@ class _Assembly:
     def gradient(self, v):
         return self.value_and_grad(v)[1]
 
-    def slopes(self, t):
-        """The term slopes y = w s |t|^{s-2} t / d at the residual t, so that
-        A^T y is the gradient."""
-        return self.w * _power_and_slope(t, self.s)[1] / self.d
+    def dual_point(self, t, c, dx):
+        """The term slopes y0 = w s |t|^{s-2} t / d at the residual t, whose
+        A^T y0 is the gradient, moved to y = y0 + diag(c) A dx.  Where dx
+        solves A^T diag(c) A dx = -A^T y0 on the free DOFs and is 0 on the
+        pinned ones, A^T y = 0 on the free DOFs: y is a dual point for
+        ``duality_gap``.  At a minimizer dx = 0 and y = y0."""
+        return self.w * _power_and_slope(t, self.s)[1] / self.d + c * (self.A @ dx)
 
-    def duality_gap(self, x, y):
-        """(E(x) - D(y), its rounding bound) for a dual point y with A^T y = 0
-        on the DOFs that are free; the others are pinned at x.
+    def duality_gap(self, t, y):
+        """(E(x) - D(y), its rounding bound) at the residual t = A x - b, for
+        a dual point y with A^T y = 0 on the DOFs that are free; the others
+        are pinned at x.
 
         With a = w / d, each term phi(t) = a |t|^s has the conjugate
         phi*(y) = (s - 1) a (|y| / (a s))^{s / (s - 1)}, s > 1.  By weak
@@ -357,7 +363,6 @@ class _Assembly:
         phi(t) + phi*(y) - y t >= 0; each of their three parts is rounded to
         about u of its size, which the second value adds up.  A phi* that
         overflows is a gap of +inf."""
-        t = self.residual(x)
         a = self.w / self.d
         s = self.s
         phi = a * _power(t, s)
@@ -398,12 +403,11 @@ class _Assembly:
             c *= self.s - 1.0
         return c
 
-    def hess(self, t, eps, newton=False):
-        """The relaxed Kacanov matrix A^T diag(c) A of ``weights`` as its lower
-        band: an (m + 1, n) array with H[i + k, i] in row k, column i.  For
-        s <= 2 its quadratic model majorizes the energy when eps = 0; at s = 2
-        it is the Hessian."""
-        c = self.weights(t, eps, newton)
+    def hess(self, c):
+        """The matrix A^T diag(c) A, for the term weights c of ``weights``, as
+        its lower band: an (m + 1, n) array with H[i + k, i] in row k, column
+        i.  For s <= 2 its quadratic model majorizes the energy when eps = 0;
+        at s = 2 it is the Hessian."""
         cols, vals, widths = self._band_map
         terms = vals * c.take(cols)
         n = self.A.shape[1]

@@ -21,9 +21,11 @@ what keeps the energy falling.
 
 A run converges at max|g| <= grad_tol (1 + max|g0|).  Where s is near 1 a
 term's slope s |t|^{s-1} stays O(1) however small its residual, so that test
-can stall with the energy flat in float64; such a run is judged instead by a
-duality gap, which bounds E(x) - min E (``_dual_point``,
-``_Assembly.duality_gap``).
+can stall with the energy flat in float64.  So every step at the eps floor
+also takes a duality gap, which bounds E(x) - min E, from the same banded
+solve: the step p moves the term slopes y0 to the dual point y0 + C A p
+(``_Assembly.dual_point``, ``_Assembly.duality_gap``), and a gap within
+grad_tol |E| ends the run converged before that step's line search.
 
 Everything is deterministic: identical inputs produce identical iterates.
 """
@@ -61,11 +63,11 @@ class SolveReport:
     f_history: list
     line_search_failures: int
     n_evals: int
-    newton_steps: int  # steps taken with Newton weights
+    newton_steps: int  # banded solves with Newton weights
     stop_reason: str
     grad_tol: float  # converged at max|g| <= grad_tol, the config's grad_tol (1 + max|g0|),
-    # or where that stalls, at gap <= the config's grad_tol |f|
-    gap: object  # where the gradient test stalled, the duality gap with its rounding; else None
+    # or at a step at the eps floor with gap <= the config's grad_tol |f|
+    gap: object  # the duality gap with its rounding at the last step at the eps floor; else None
     wall_time: float
     method: str
 
@@ -214,10 +216,13 @@ def _band_solve(ab, rhs):
 
 
 class _Kacanov:
-    """Relaxed Kacanov steps: form the residual t = A x - b once per step and
-    solve hess(t, eps) p = -g, with eps = max|t| at the first step and
-    max(eps / 10, u max|t|) after each step, u the float64 machine epsilon: the
-    floor is the rounding level of the largest residual, shared by every row.
+    """Relaxed Kacanov steps on the ``free`` DOFs of ``x`` (the others stay
+    pinned): form the residual t = A x - b and the weights c = weights(t, eps)
+    once per step and solve hess(c) p = -g, with eps = max|t| at the first step
+    and max(eps / 10, u max|t|) after each step, u the float64 machine epsilon:
+    the floor is the rounding level of the largest residual, shared by every
+    row.  At the floor the same c and p also give the duality gap at x, from
+    the dual point y0 + diag(c) A p of ``_Assembly.dual_point``.
 
     From the first step at the floor that changed the energy by at most
     NEWTON_RTOL relative, the weights take the factor s - 1 of the Hessian
@@ -225,49 +230,58 @@ class _Kacanov:
     shortened (alpha < 1): that step's quadratic model overshot, so the next
     step takes the relaxed Kacanov weights, whose model majorizes the energy
     for s <= 2, and the one after returns to Newton.  ``newton_steps`` counts
-    the steps taken with Newton weights."""
+    the banded solves with Newton weights."""
 
-    def __init__(self, hess, residual):
-        self.hess = hess
-        self.residual = residual
+    def __init__(self, asm, x, free):
+        self.asm = asm
+        self.x = x
+        self.free = free
         self.eps = None
         self.f = None
         self.newton_phase = False
         self.newton = False
         self.newton_steps = 0
 
-    def direction(self, x, f, g, alpha):
-        t = self.residual(x)
+    def direction(self, xfree, f, g, alpha):
+        """The step p on the free DOFs, and at the eps floor the duality gap
+        plus its rounding at x (else None)."""
+        asm, x, free = self.asm, self.x, self.free
+        x[free] = xfree
+        t = asm.residual(x)
         tmax = float(np.max(np.abs(t)))
+        floor = np.finfo(float).eps * tmax
         if self.eps is None:
             self.eps = tmax
         else:
-            floor = np.finfo(float).eps * tmax
             self.eps = max(self.eps / 10.0, floor)
             self.newton_phase |= self.eps == floor and abs(self.f - f) <= NEWTON_RTOL * abs(f)
         self.f = f
         self.newton = self.newton_phase and not (self.newton and alpha < 1.0)
-        p = _band_solve(self.hess(t, self.eps, self.newton), -g)
+        c = asm.weights(t, self.eps, self.newton)
+        p = _band_solve(asm.hess(c)[:, free], -g)
         self.newton_steps += int(self.newton)
-        return p
+        if self.eps > floor:
+            return p, None
+        dx = np.zeros_like(x)
+        dx[free] = p
+        return p, sum(asm.duality_gap(t, asm.dual_point(t, c, dx)))
 
 
-def _minimize(fg, x0, cfg, step, gap):
-    """Line-search descent along ``step(x, f, g, alpha)``, with alpha the step
-    length the line search accepted on the previous step (1 at the first), or
-    along -g where that is not a descent direction; after a failed search, one
-    retry along -g.
+def _minimize(fg, x0, cfg, step):
+    """Line-search descent along the steps of ``step(x, f, g, alpha)``, with
+    alpha the step length the line search accepted on the previous step (1 at
+    the first).  ``step`` returns the direction and, where it has one, a bound
+    on E(x) - min E with its rounding (else None).
 
     Returns ``(x, f, stats)``, with ``stats`` the iteration fields of
-    ``SolveReport``.  ``n_evals`` counts every call of ``fg``, those of failed
-    searches included.  Ends converged at ``max|g| <= grad_tol (1 + max|g0|)``
-    (``stats["grad_tol"]``), or unconverged with ``stop_reason`` "max_iters",
-    "line_search_failed" (the retry failed too), "bad_pivot" (the step matrix
-    is not SPD) or "stalled" (in ``STALL_ITERS`` steps the energy fell by no
-    more than rounding, ``FLAT_RTOL``, and max|g| did not halve).  A run that
-    would stall is converged instead where ``gap(x)``, a bound on
-    E(x) - min E with its rounding, is at most the config's grad_tol |f|
-    (``stats["gap"]``).
+    ``SolveReport``.  ``n_evals`` counts every call of ``fg``, those of a failed
+    search included.  Ends converged at ``max|g| <= grad_tol (1 + max|g0|)``
+    (``stats["grad_tol"]``) or where the bound of a step, checked before its
+    line search, is at most the config's grad_tol |f| (the last bound is
+    ``stats["gap"]``).  Otherwise it ends with ``stop_reason`` "max_iters",
+    "line_search_failed", "bad_pivot" (the step matrix is not SPD) or
+    "stalled" (in ``STALL_ITERS`` steps the energy fell by no more than
+    rounding, ``FLAT_RTOL``, and max|g| did not halve).
     """
     evals = 0
 
@@ -282,35 +296,29 @@ def _minimize(fg, x0, cfg, step, gap):
     tol = cfg.grad_tol * (1.0 + gmax)
     f_hist = [f]
     g_hist = [gmax]
-    failures = 0
     converged = gmax <= tol
     stop = None
     f_ref, g_ref, flat_steps = f, gmax, 0
-    end_gap = None
+    gap = None
     it = 0
     alpha = 1.0
     while not converged and it < cfg.max_iters:
         try:
-            p = step(x, f, g, alpha)
+            p, step_gap = step(x, f, g, alpha)
         except np.linalg.LinAlgError:
             stop = "bad_pivot"
             break
-        dphi0 = float(g @ p)
-        if not np.isfinite(dphi0) or dphi0 >= 0.0:
-            p = -g
-        try:
-            alpha, f_new, g_new = _armijo_search(counted, x, p, f, float(g @ p))
-        except _LineSearchFailure:
-            failures += 1
-            p = -g
-            try:
-                alpha, f_new, g_new = _armijo_search(counted, x, p, f, float(g @ p))
-            except _LineSearchFailure:
-                failures += 1
-                stop = "line_search_failed"
+        if step_gap is not None:
+            gap = step_gap
+            converged = gap <= cfg.grad_tol * abs(f)
+            if converged:
                 break
+        try:
+            alpha, f, g = _armijo_search(counted, x, p, f, float(g @ p))
+        except _LineSearchFailure:
+            stop = "line_search_failed"
+            break
         x = x + alpha * p
-        f, g = f_new, g_new
         it += 1
         gmax = float(np.max(np.abs(g)))
         f_hist.append(f)
@@ -321,28 +329,13 @@ def _minimize(fg, x0, cfg, step, gap):
         else:
             flat_steps += 1
             if flat_steps >= STALL_ITERS and not converged:
-                end_gap = gap(x)
-                converged = end_gap <= cfg.grad_tol * abs(f)
-                stop = "converged" if converged else "stalled"
+                stop = "stalled"
                 break
     if stop is None:
         stop = "converged" if converged else "max_iters"
     return x, f, dict(iterations=it, grad_norm_history=g_hist, f_history=f_hist,
-                      line_search_failures=failures, n_evals=evals, stop_reason=stop,
-                      grad_tol=tol, gap=end_gap)
-
-
-def _dual_point(asm, x, free, eps, newton):
-    """The term slopes y0 at x, projected so that A^T y = 0 on the ``free``
-    DOFs: y = y0 - C A H^{-1} A^T y0, with C the Kacanov weights at (eps,
-    newton) and H = A^T C A over the free DOFs.  A^T y0 is the gradient, so at
-    a minimizer the correction vanishes.  Raises ``np.linalg.LinAlgError``
-    where H is not SPD."""
-    t = asm.residual(x)
-    y = asm.slopes(t)
-    dx = np.zeros_like(x)
-    dx[free] = _band_solve(asm.hess(t, eps, newton)[:, free], (asm.AT @ y)[free])
-    return y - asm.weights(t, eps, newton) * (asm.A @ dx)
+                      line_search_failures=int(stop == "line_search_failed"), n_evals=evals,
+                      stop_reason=stop, grad_tol=tol, gap=gap)
 
 
 def _line_through_data(spec):
@@ -404,25 +397,9 @@ def _solve(spec, k, cfg, method):
         val, grad = asm.value_and_grad(x)
         return val, grad[free]
 
-    def hess(t, eps, newton):
-        return asm.hess(t, eps, newton)[:, free]
-
-    def residual(xfree):
-        x[free] = xfree
-        return asm.residual(x)
-
-    kacanov = _Kacanov(hess, residual)
-
-    def gap(xfree):
-        x[free] = xfree
-        try:
-            y = _dual_point(asm, x, free, kacanov.eps, kacanov.newton)
-        except np.linalg.LinAlgError:
-            return np.inf
-        return sum(asm.duality_gap(x, y))
-
+    kacanov = _Kacanov(asm, x, free)
     t0 = time.perf_counter()
-    x[free], f, stats = _minimize(fg, x[free].copy(), cfg, kacanov.direction, gap)
+    x[free], f, stats = _minimize(fg, x[free].copy(), cfg, kacanov.direction)
     wall = time.perf_counter() - t0
     if not np.all(np.isfinite(x)) or not np.isfinite(f):
         raise ArithmeticError(f"{method.upper()} solve diverged to a non-finite state")
