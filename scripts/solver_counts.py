@@ -4,13 +4,15 @@
 For each solve it prints the steps, the energy evaluations, the banded solves
 with Newton weights, the line-search failures, the stop reason, the duality
 gap over the energy, ``gap/|E|``, to read against the solve's tol (taken at
-the last step at the Kacanov eps floor; ``-`` where no step reached it) and
-the wall time of the minimization.  The corpus is every solve of the
+the last step at the Kacanov eps floor; ``-`` where no step reached it), the
+final energy as ``float.hex()`` and the wall time of the minimization.  The corpus is every solve of the
 benchmark's workloads (``perfbench/workloads.py``: paper-figures, dg-dense,
 dg-limited, const-p2), DG on the paper problem at 2560 and 5120 elements, the
 hat exponent with q = r = 3 fidelity for DG and CG at 10 and 40 elements, and
 DG with ``--k 2 --l 1`` at 20, 30, ..., 80 elements.
-Counts are deterministic; wall times are not.  Nothing is written to disk.
+Counts and energies are deterministic; wall times are not, so two runs
+diffed without the ``wall_s`` column check a refactor bitwise.  Nothing is
+written to disk.
 
     python3 scripts/solver_counts.py
 """
@@ -57,13 +59,13 @@ def corpus():
 
 def main():
     print(f"{'solve':<28} {'steps':>6} {'evals':>6} {'newton':>6} {'ls_fail':>7} "
-          f"{'stop':<18} {'gap/|E|':>10} {'wall_s':>8}")
+          f"{'stop':<18} {'gap/|E|':>10} {'energy':>22} {'wall_s':>8}")
     for label, method, spec, k, cfg in corpus():
         rep = (solve_dg if method == "dg" else solve_cg)(spec, k, cfg)
         gap = "-" if rep.gap is None else f"{rep.gap / abs(rep.f_history[-1]):.3g}"
         print(f"{label:<28} {rep.iterations:>6} {rep.n_evals:>6} {rep.newton_steps:>6} "
               f"{rep.line_search_failures:>7} {rep.stop_reason:<18} {gap:>10} "
-              f"{rep.wall_time:>8.4f}")
+              f"{rep.breakdown.total.hex():>22} {rep.wall_time:>8.4f}")
     return 0
 
 

@@ -35,6 +35,14 @@ bounds the distance of the energy to its minimum from a dual point of the
 terms, which ``dual_point`` builds from one solve with that band.  The
 conforming map U is an index array: the shared nodal value each broken DOF
 takes.
+
+The assembly also owns everything in which a DG solve differs from a CG one,
+so that the solver runs one path for both.  ``dof_x`` is the DOF layout: each
+element's Gauss-Lobatto nodes for DG, the shared nodes for CG.  ``pinned``
+maps the DOFs held fixed to their values: none for DG, whose penalty terms
+carry the Dirichlet data, and the Dirichlet ends for CG.  ``free`` is the
+contiguous slice of the other DOFs, and ``function`` turns a DOF vector into
+its ``BrokenFunction``.
 """
 
 from dataclasses import dataclass, field, fields
@@ -42,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .broken import _basis, _eval_matrix, jumps
+from .broken import BrokenFunction, _basis, _eval_matrix, jumps
 from .lifting import LiftingConfig, lift_matrix
 from .quadrature import composite_points, reference_rule
 
@@ -193,7 +201,8 @@ def _row_blocks(cols, vals):
 
 
 class _Assembly:
-    """The energy of one spec as a stacked term operator: DG, or CG if ``continuous``."""
+    """The energy of one spec as a stacked term operator, with its DOF layout
+    and pinned DOFs: DG, or CG if ``continuous``."""
 
     def __init__(self, spec, degree, continuous=False):
         mesh = spec.mesh
@@ -271,10 +280,23 @@ class _Assembly:
                           mesh.interior_face_sizes ** (1.0 - pf), 1.0))
         terms += neumann
 
+        # a shared CG node takes its position from the element on its right, and
+        # the pinned DOFs are end DOFs, so the free ones are one contiguous band
+        self.continuous = continuous
+        self.degree = degree
+        nodes = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])[:, None] + 0.5 * h[:, None] * t
+        self.dof_x = nodes.ravel()
+        self.pinned = {}
         ncols = self.ndof
         if continuous:
-            self._continuity_map(mesh, degree, t)
-            ncols = self.n_unique
+            # unique_dof[j] is the shared nodal value (CG DOF) that broken DOF j takes
+            self.n_unique = ncols = ne * degree + 1
+            self.unique_dof = np.repeat(np.arange(ne), nk) * degree + np.tile(np.arange(nk), ne)
+            self.dof_x = np.append(nodes[:, :degree].ravel(), nodes[-1, -1])
+            for name, dof in (("left", 0), ("right", ncols - 1)):
+                if getattr(mesh, f"dirichlet_{name}"):
+                    self.pinned[dof] = spec.u_D[name]
+        self.free = slice(int(0 in self.pinned), ncols - int(ncols - 1 in self.pinned))
         sizes = [n for _, n, *_ in terms]
         stops = np.cumsum(sizes).tolist()
         self.segments = list(zip([0] + stops[:-1], stops))
@@ -291,23 +313,6 @@ class _Assembly:
             np.concatenate([np.broadcast_to(np.asarray(term[k], dtype=float), (n,))
                             for term, n in zip(terms, sizes)])
             for k in range(3, 7))
-
-    def _continuity_map(self, mesh, degree, t):
-        """unique_dof[j] is the shared nodal value (CG DOF) that broken DOF j takes."""
-        ne = mesh.n_elements
-        nk = degree + 1
-        self.n_unique = ne * degree + 1
-        self.unique_dof = np.repeat(np.arange(ne), nk) * degree + np.tile(np.arange(nk), ne)
-        self.dirichlet_dofs = []
-        if mesh.dirichlet_left:
-            self.dirichlet_dofs.append((0, self.spec.u_D["left"]))
-        if mesh.dirichlet_right:
-            self.dirichlet_dofs.append((self.n_unique - 1, self.spec.u_D["right"]))
-        mid = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
-        half = 0.5 * mesh.element_sizes
-        # a shared node takes its position from the element on its right
-        nodes = mid[:, None] + half[:, None] * t
-        self.unique_x = np.append(nodes[:, :degree].ravel(), nodes[-1, -1])
 
     @cached_property
     def Gv(self):
@@ -422,8 +427,10 @@ class _Assembly:
         return (np.bincount(self.unique_dof, v, minlength=self.n_unique)
                 / np.bincount(self.unique_dof, minlength=self.n_unique))
 
-    def unique_to_broken(self, xu):
-        return xu[self.unique_dof]
+    def function(self, x):
+        """The BrokenFunction with the DOF vector x."""
+        dofs = x[self.unique_dof] if self.continuous else x
+        return BrokenFunction.from_dofs(self.spec.mesh, self.degree, dofs, self.continuous)
 
 
 def discrete_assembly(spec, degree):

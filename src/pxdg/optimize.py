@@ -3,19 +3,26 @@ backtracking line search.
 
 Every energy here is a sum of terms ``w |(A x - b)|^s / d`` whose rows couple a
 few neighbouring DOFs, so the relaxed Kacanov matrix
-``A^T diag(w s max(|t|, eps)^{s-2} / d) A`` is banded and symmetric positive
-definite.  ``solve_dg`` and ``solve_cg`` take each step from one banded solve with
-it (Diening, Fornasier, Tomasi & Wank, Numer. Math. 145, 2020: for s <= 2 its
-quadratic model majorizes the energy), shrinking eps tenfold per step from
-max|t| to the float64 rounding level u max|t| (u = 2.2e-16, the machine
-epsilon).  The floor is one global number, not one per row: floored only at
-their own rounding level, the rows of the smallest residuals take weights near
-1e19 and the banded solve loses its pivots.  At the floor the error of a row
-with s near 1 shrinks only by a factor of about 2 - s per step, so once a
-step there changes the energy by at most NEWTON_RTOL relative, the steps take
-the Newton weights (the factor s - 1).  The switch is two-way: after a Newton
-step that the line search shortened, one step takes the relaxed Kacanov
-weights again.  The step length halves from 1 until the energy decreases
+``A^T diag(c) A``, c = w s max(|t|, eps)^{s-2} / d at the residual t = A x - b,
+is banded and symmetric positive definite.  ``solve_dg`` and ``solve_cg`` run
+one loop, ``_minimize``, on the free DOFs of their assembly (CG pins its
+Dirichlet ends) and take each step p from one banded solve
+``A^T diag(c) A p = -g`` (Diening, Fornasier, Tomasi & Wank, Numer. Math. 145,
+2020: for s <= 2 its quadratic model majorizes the energy).
+
+The eps schedule: eps is max|t| at the first step and max(eps / 10, u max|t|)
+at each later one, u = 2.2e-16 the machine epsilon.  The floor is the float64
+rounding level of the largest residual, one global number, not one per row:
+floored only at their own rounding level, the rows of the smallest residuals
+take weights near 1e19 and the banded solve loses its pivots.
+
+The Newton switch: at the floor the error of a row with s near 1 shrinks only
+by a factor of about 2 - s per step.  So from the first step at the floor whose
+predecessor changed the energy by at most NEWTON_RTOL relative, the weights take
+the factor s - 1 of the Hessian (Newton steps).  The switch is two-way: right
+after a Newton step that the line search shortened (alpha < 1), whose quadratic
+model overshot, one step takes the relaxed Kacanov weights again, then Newton
+resumes.  The step length halves from 1 until the energy decreases
 sufficiently; where s > 2 and the model no longer majorizes, that halving is
 what keeps the energy falling.
 
@@ -36,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .broken import BrokenFunction, interpolate
 from .functional import continuous_assembly, discrete_assembly
 from .quadrature import reference_rule
 
@@ -215,84 +221,35 @@ def _band_solve(ab, rhs):
     return x
 
 
-class _Kacanov:
-    """Relaxed Kacanov steps on the ``free`` DOFs of ``x`` (the others stay
-    pinned): form the residual t = A x - b and the weights c = weights(t, eps)
-    once per step and solve hess(c) p = -g, with eps = max|t| at the first step
-    and max(eps / 10, u max|t|) after each step, u the float64 machine epsilon:
-    the floor is the rounding level of the largest residual, shared by every
-    row.  At the floor the same c and p also give the duality gap at x, from
-    the dual point y0 + diag(c) A p of ``_Assembly.dual_point``.
-
-    From the first step at the floor that changed the energy by at most
-    NEWTON_RTOL relative, the weights take the factor s - 1 of the Hessian
-    (Newton steps), except right after a Newton step that the line search
-    shortened (alpha < 1): that step's quadratic model overshot, so the next
-    step takes the relaxed Kacanov weights, whose model majorizes the energy
-    for s <= 2, and the one after returns to Newton.  ``newton_steps`` counts
-    the banded solves with Newton weights."""
-
-    def __init__(self, asm, x, free):
-        self.asm = asm
-        self.x = x
-        self.free = free
-        self.eps = None
-        self.f = None
-        self.newton_phase = False
-        self.newton = False
-        self.newton_steps = 0
-
-    def direction(self, xfree, f, g, alpha):
-        """The step p on the free DOFs, and at the eps floor the duality gap
-        plus its rounding at x (else None)."""
-        asm, x, free = self.asm, self.x, self.free
-        x[free] = xfree
-        t = asm.residual(x)
-        tmax = float(np.max(np.abs(t)))
-        floor = np.finfo(float).eps * tmax
-        if self.eps is None:
-            self.eps = tmax
-        else:
-            self.eps = max(self.eps / 10.0, floor)
-            self.newton_phase |= self.eps == floor and abs(self.f - f) <= NEWTON_RTOL * abs(f)
-        self.f = f
-        self.newton = self.newton_phase and not (self.newton and alpha < 1.0)
-        c = asm.weights(t, self.eps, self.newton)
-        p = _band_solve(asm.hess(c)[:, free], -g)
-        self.newton_steps += int(self.newton)
-        if self.eps > floor:
-            return p, None
-        dx = np.zeros_like(x)
-        dx[free] = p
-        return p, sum(asm.duality_gap(t, asm.dual_point(t, c, dx)))
-
-
-def _minimize(fg, x0, cfg, step):
-    """Line-search descent along the steps of ``step(x, f, g, alpha)``, with
-    alpha the step length the line search accepted on the previous step (1 at
-    the first).  ``step`` returns the direction and, where it has one, a bound
-    on E(x) - min E with its rounding (else None).
+def _minimize(asm, x, cfg):
+    """Minimize the energy of ``asm`` over its free DOFs from the DOF vector x,
+    whose pinned DOFs keep their values, by the steps and the line search of
+    the module docstring.
 
     Returns ``(x, f, stats)``, with ``stats`` the iteration fields of
-    ``SolveReport``.  ``n_evals`` counts every call of ``fg``, those of a failed
-    search included.  Ends converged at ``max|g| <= grad_tol (1 + max|g0|)``
-    (``stats["grad_tol"]``) or where the bound of a step, checked before its
-    line search, is at most the config's grad_tol |f| (the last bound is
-    ``stats["gap"]``).  Otherwise it ends with ``stop_reason`` "max_iters",
-    "line_search_failed", "bad_pivot" (the step matrix is not SPD) or
-    "stalled" (in ``STALL_ITERS`` steps the energy fell by no more than
-    rounding, ``FLAT_RTOL``, and max|g| did not halve).
+    ``SolveReport``.  ``n_evals`` counts every call of ``asm.value_and_grad``,
+    those of a failed search included.  Ends converged at ``max|g| <= grad_tol
+    (1 + max|g0|)`` (``stats["grad_tol"]``) or where the duality gap of a step
+    at the eps floor, checked before its line search, is at most the config's
+    grad_tol |f| (the last gap is ``stats["gap"]``).  Otherwise it ends with
+    ``stop_reason`` "max_iters", "line_search_failed", "bad_pivot" (the step
+    matrix is not SPD) or "stalled" (in ``STALL_ITERS`` steps the energy fell
+    by no more than rounding, ``FLAT_RTOL``, and max|g| did not halve).
     """
+    free = asm.free
+    x = x.copy()
     evals = 0
 
-    def counted(x):
+    def fg(xfree):
         nonlocal evals
         evals += 1
-        return fg(x)
+        trial = x.copy()
+        trial[free] = xfree
+        f, g = asm.value_and_grad(trial)
+        return f, g[free]
 
-    x = np.asarray(x0, dtype=float).copy()
-    f, g = counted(x)
-    gmax = float(np.max(np.abs(g))) if x.size else 0.0
+    f, g = fg(x[free])
+    gmax = float(np.max(np.abs(g))) if g.size else 0.0
     tol = cfg.grad_tol * (1.0 + gmax)
     f_hist = [f]
     g_hist = [gmax]
@@ -300,25 +257,41 @@ def _minimize(fg, x0, cfg, step):
     stop = None
     f_ref, g_ref, flat_steps = f, gmax, 0
     gap = None
-    it = 0
+    it = newton_steps = 0
     alpha = 1.0
+    eps = f_step = None
+    newton_phase = newton = False
     while not converged and it < cfg.max_iters:
+        t = asm.residual(x)
+        tmax = float(np.max(np.abs(t)))
+        floor = np.finfo(float).eps * tmax
+        if eps is None:
+            eps = tmax
+        else:
+            eps = max(eps / 10.0, floor)
+            newton_phase |= eps == floor and abs(f_step - f) <= NEWTON_RTOL * abs(f)
+        f_step = f
+        newton = newton_phase and not (newton and alpha < 1.0)
+        c = asm.weights(t, eps, newton)
         try:
-            p, step_gap = step(x, f, g, alpha)
+            p = _band_solve(asm.hess(c)[:, free], -g)
         except np.linalg.LinAlgError:
             stop = "bad_pivot"
             break
-        if step_gap is not None:
-            gap = step_gap
+        newton_steps += newton
+        if eps == floor:
+            dx = np.zeros_like(x)
+            dx[free] = p
+            gap = sum(asm.duality_gap(t, asm.dual_point(t, c, dx)))
             converged = gap <= cfg.grad_tol * abs(f)
             if converged:
                 break
         try:
-            alpha, f, g = _armijo_search(counted, x, p, f, float(g @ p))
+            alpha, f, g = _armijo_search(fg, x[free], p, f, float(g @ p))
         except _LineSearchFailure:
             stop = "line_search_failed"
             break
-        x = x + alpha * p
+        x[free] += alpha * p
         it += 1
         gmax = float(np.max(np.abs(g)))
         f_hist.append(f)
@@ -335,31 +308,27 @@ def _minimize(fg, x0, cfg, step):
         stop = "converged" if converged else "max_iters"
     return x, f, dict(iterations=it, grad_norm_history=g_hist, f_history=f_hist,
                       line_search_failures=int(stop == "line_search_failed"), n_evals=evals,
-                      stop_reason=stop, grad_tol=tol, gap=gap)
+                      newton_steps=newton_steps, stop_reason=stop, grad_tol=tol, gap=gap)
 
 
-def _line_through_data(spec):
-    mesh = spec.mesh
-    uL = spec.u_D.get("left")
-    uR = spec.u_D.get("right")
-    if uL is not None and uR is not None:
-        slope = (uR - uL) / (mesh.x_right - mesh.x_left)
-        return lambda x: uL + slope * (x - mesh.x_left)
-    if uL is not None:
-        return lambda x: uL + 0.0 * x
-    if uR is not None:
-        return lambda x: uR + 0.0 * x
-    return lambda x: 0.0 * x
-
-
-def _initial_dofs(spec, k, cfg, asm, continuous):
-    """Starting DOF vector: broken DOFs for DG, every shared nodal value for CG."""
+def _initial_dofs(asm, cfg):
+    """The starting DOF vector with the pinned DOFs at their values: the
+    config's guess, or the line through the Dirichlet data at ``asm.dof_x``
+    (the one end's value if only one end has data, 0 if none has)."""
+    spec, n = asm.spec, asm.dof_x.size
     if cfg.initial_guess is not None:
-        return np.asarray(cfg.initial_guess, dtype=float).copy()
-    line = _line_through_data(spec)
-    if continuous:
-        return np.asarray(line(asm.unique_x), dtype=float)
-    return interpolate(spec.mesh, k, line).dof_vector()
+        x = np.array(cfg.initial_guess, dtype=float)
+        if x.shape != (n,):
+            raise ValueError(f"initial guess has {x.size} entries; "
+                             f"this {spec.mesh.n_elements}-element solve has {n} DOFs")
+    else:
+        mesh = spec.mesh
+        uL = spec.u_D.get("left", spec.u_D.get("right", 0.0))
+        uR = spec.u_D.get("right", uL)
+        x = uL + (uR - uL) / (mesh.x_right - mesh.x_left) * (asm.dof_x - mesh.x_left)
+    for dof, val in asm.pinned.items():
+        x[dof] = val
+    return x
 
 
 def _check_dg_quadrature(spec, k):
@@ -375,38 +344,16 @@ def _check_dg_quadrature(spec, k):
                          f"DG with degree {k} and lifting degree {l} needs at least {need}")
 
 
-def _solve(spec, k, cfg, method):
-    """Shared body of solve_dg and solve_cg; CG pins its Dirichlet values and
-    minimizes over the remaining nodal values."""
+def _solve(asm, cfg, method):
+    """Shared body of solve_dg and solve_cg."""
     cfg = cfg or BfgsConfig()
-    continuous = method == "cg"
-    if not continuous:
-        _check_dg_quadrature(spec, k)
-    asm = (continuous_assembly if continuous else discrete_assembly)(spec, k)
-    x = _initial_dofs(spec, k, cfg, asm, continuous)
-    free = slice(None)
-    if continuous:
-        # the pinned DOFs are end nodes, so the free ones stay one contiguous band
-        pinned = dict(asm.dirichlet_dofs)
-        for dof, val in pinned.items():
-            x[dof] = val
-        free = slice(int(0 in pinned), x.size - int(x.size - 1 in pinned))
-
-    def fg(xfree):
-        x[free] = xfree
-        val, grad = asm.value_and_grad(x)
-        return val, grad[free]
-
-    kacanov = _Kacanov(asm, x, free)
+    x = _initial_dofs(asm, cfg)
     t0 = time.perf_counter()
-    x[free], f, stats = _minimize(fg, x[free].copy(), cfg, kacanov.direction)
+    x, f, stats = _minimize(asm, x, cfg)
     wall = time.perf_counter() - t0
     if not np.all(np.isfinite(x)) or not np.isfinite(f):
         raise ArithmeticError(f"{method.upper()} solve diverged to a non-finite state")
-    dofs = asm.unique_to_broken(x) if continuous else x
-    u = BrokenFunction.from_dofs(spec.mesh, k, dofs, continuous=continuous)
-    return SolveReport(u, asm.terms(x), **stats, newton_steps=kacanov.newton_steps,
-                       wall_time=wall, method=method)
+    return SolveReport(asm.function(x), asm.terms(x), **stats, wall_time=wall, method=method)
 
 
 def solve_dg(spec, k, cfg=None):
@@ -414,10 +361,11 @@ def solve_dg(spec, k, cfg=None):
 
     Raises ``ValueError`` if the quadrature has fewer than max(k - 1, l) + 1
     points per element, l the lifting degree."""
-    return _solve(spec, k, cfg, "dg")
+    _check_dg_quadrature(spec, k)
+    return _solve(discrete_assembly(spec, k), cfg, "dg")
 
 
 def solve_cg(spec, k, cfg=None):
     """Minimize the conforming energy over continuous degree-k functions with
     Dirichlet values eliminated from the optimization variables."""
-    return _solve(spec, k, cfg, "cg")
+    return _solve(continuous_assembly(spec, k), cfg, "cg")

@@ -53,17 +53,16 @@ def benchmark_mesh(n, dirichlet="both"):
     return uniform_mesh(-1.0, 1.0, n, dirichlet)
 
 
-def dg_spec(problem, mesh, quadrature=("trapezoid", 1), l=None, normalize=False):
+def dg_spec(problem, mesh, quadrature=("trapezoid", 1), l=None):
     lifting = LiftingConfig(l) if l is not None else None
     return FunctionalSpec(mesh, problem.p, u_D=dict(problem.u_D),
-                          quadrature=quadrature, lifting=lifting,
-                          normalize_by_exponent=normalize)
+                          quadrature=quadrature, lifting=lifting)
 
 
-def cg_spec(problem, mesh, quadrature=("trapezoid", 1), normalize=True):
+def cg_spec(problem, mesh, quadrature=("trapezoid", 1)):
     """Conforming variant; volume integrands normalized by the exponent."""
     return FunctionalSpec(mesh, problem.p, u_D=dict(problem.u_D),
-                          quadrature=quadrature, normalize_by_exponent=normalize)
+                          quadrature=quadrature, normalize_by_exponent=True)
 
 
 def reference_energy(problem):

@@ -295,9 +295,7 @@ def test_duality_gap_bounds_the_energy_above_its_minimum(method):
         rep = solve(spec, 1, BfgsConfig(max_iters=500))
         best = rep.breakdown.total
         asm = assembly(spec, 1)
-        n = asm.A.shape[1]
-        pinned = dict(getattr(asm, "dirichlet_dofs", []))
-        free = slice(int(0 in pinned), n - int(n - 1 in pinned))
+        n, free = asm.A.shape[1], asm.free
 
         def gap(x, eps, newton):
             # the step and dual point of the solver's steps at the eps floor
@@ -312,7 +310,7 @@ def test_duality_gap_bounds_the_energy_above_its_minimum(method):
         rng = np.random.default_rng(7)
         for _ in range(5):
             x = rng.normal(size=n)
-            for dof, val in pinned.items():
+            for dof, val in asm.pinned.items():
                 x[dof] = val
             for eps, newton in ((np.max(np.abs(asm.residual(x))), False), (1e-3, True)):
                 g, rounding = gap(x, eps, newton)
@@ -334,3 +332,29 @@ def test_gradient_stall_certified_by_the_duality_gap():
     assert rep.stop_reason == "converged" and rep.converged
     assert rep.grad_norm_history[-1] > 1e3 * rep.grad_tol
     assert 0.0 <= rep.gap <= 1e-8 * rep.breakdown.total
+
+
+@pytest.mark.parametrize("solve, n_dofs", [(solve_dg, 20), (solve_cg, 11)])
+def test_wrong_length_initial_guess_is_rejected(solve, n_dofs):
+    # 10 elements of degree 1: 20 broken DOFs for DG, 11 nodal values for CG
+    _, spec = quadratic_problem(n=10)
+    for size in (n_dofs - 5, n_dofs + 9):
+        with pytest.raises(ValueError, match=f"has {size} entries.* {n_dofs} DOFs"):
+            solve(spec, 1, BfgsConfig(initial_guess=np.zeros(size)))
+
+
+@pytest.mark.parametrize("dirichlet", ["both", "left", "right"])
+def test_cg_keeps_its_dirichlet_ends_and_moves_its_neumann_ends(dirichlet):
+    P3 = ExponentField.constant(3.0)
+    u_D = {"left": -0.7, "right": 1.3}
+    spec = FunctionalSpec(uniform_mesh(-1, 1, 8, dirichlet), HAT, q=P3, r=P3, xi=np.cos,
+                          fidelity_on=True, u_D=u_D)
+    rep = solve_cg(spec, 1)
+    assert rep.converged
+    c = rep.solution.coeffs
+    for name, end in (("left", c[0, 0]), ("right", c[-1, -1])):
+        if dirichlet in (name, "both"):
+            assert end == u_D[name]
+        else:
+            # the Neumann end leaves the line through the data, which starts there
+            assert abs(end - u_D[name]) > 0.1
