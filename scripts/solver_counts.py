@@ -2,16 +2,19 @@
 """Step and evaluation counts of the solver on a fixed corpus of solves.
 
 For each solve it prints the steps, the energy evaluations, the banded solves
-with Newton weights, the line-search failures, the stop reason, the duality
+(``solves``: calls of ``optimize._band_solve``, one per step plus the one of a
+run that a duality gap certifies), those with Newton weights, the line-search
+failures, the stop reason, the duality
 gap over the energy, ``gap/|E|``, to read against the solve's tol (taken at
 the last step at the Kacanov eps floor; ``-`` where no step reached it), the
-final energy as ``float.hex()`` and the wall time of the minimization.  The corpus is every solve of the
-benchmark's workloads (``perfbench/workloads.py``: paper-figures, dg-dense,
+final energy as ``float.hex()`` and the wall time of the minimization; a
+last row sums the steps, evaluations and solves.  The corpus is every solve of
+the benchmark's workloads (``perfbench/workloads.py``: paper-figures, dg-dense,
 dg-limited, const-p2), DG on the paper problem at 2560 and 5120 elements, the
 hat exponent with q = r = 3 fidelity for DG and CG at 10 and 40 elements, and
 DG with ``--k 2 --l 1`` at 20, 30, ..., 80 elements.
-Counts and energies are deterministic; wall times are not, so two runs
-diffed without the ``wall_s`` column check a refactor bitwise.  Nothing is
+Counts, totals and energies are deterministic; wall times are not, so two
+runs diffed without the ``wall_s`` column check a refactor bitwise.  Nothing is
 written to disk.
 
     python3 scripts/solver_counts.py
@@ -26,6 +29,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 import numpy as np
 
 from perfbench.workloads import BUILDERS
+from pxdg import optimize
 from pxdg.exponents import ExponentField
 from pxdg.functional import FunctionalSpec
 from pxdg.meshes import uniform_mesh
@@ -57,15 +61,33 @@ def corpus():
                BfgsConfig(max_iters=20000))
 
 
+def counting_band_solves():
+    """Count the calls of ``optimize._band_solve``: returns a one-entry list
+    that each call increments."""
+    band_solve, count = optimize._band_solve, [0]
+
+    def counted(ab, rhs):
+        count[0] += 1
+        return band_solve(ab, rhs)
+
+    optimize._band_solve = counted
+    return count
+
+
 def main():
-    print(f"{'solve':<28} {'steps':>6} {'evals':>6} {'newton':>6} {'ls_fail':>7} "
+    solves = counting_band_solves()
+    print(f"{'solve':<28} {'steps':>6} {'evals':>6} {'solves':>6} {'newton':>6} {'ls_fail':>7} "
           f"{'stop':<18} {'gap/|E|':>10} {'energy':>22} {'wall_s':>8}")
+    total = np.zeros(3, dtype=int)
     for label, method, spec, k, cfg in corpus():
+        solves[0] = 0
         rep = (solve_dg if method == "dg" else solve_cg)(spec, k, cfg)
         gap = "-" if rep.gap is None else f"{rep.gap / abs(rep.f_history[-1]):.3g}"
-        print(f"{label:<28} {rep.iterations:>6} {rep.n_evals:>6} {rep.newton_steps:>6} "
-              f"{rep.line_search_failures:>7} {rep.stop_reason:<18} {gap:>10} "
-              f"{rep.breakdown.total.hex():>22} {rep.wall_time:>8.4f}")
+        print(f"{label:<28} {rep.iterations:>6} {rep.n_evals:>6} {solves[0]:>6} "
+              f"{rep.newton_steps:>6} {rep.line_search_failures:>7} {rep.stop_reason:<18} "
+              f"{gap:>10} {rep.breakdown.total.hex():>22} {rep.wall_time:>8.4f}")
+        total += (rep.iterations, rep.n_evals, solves[0])
+    print(f"{'total':<28} {total[0]:>6} {total[1]:>6} {total[2]:>6}")
     return 0
 
 

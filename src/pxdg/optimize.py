@@ -17,9 +17,11 @@ floored only at their own rounding level, the rows of the smallest residuals
 take weights near 1e19 and the banded solve loses its pivots.
 
 The Newton switch: at the floor the error of a row with s near 1 shrinks only
-by a factor of about 2 - s per step.  So from the first step at the floor whose
-predecessor changed the energy by at most NEWTON_RTOL relative, the weights take
-the factor s - 1 of the Hessian (Newton steps).  The switch is two-way: right
+by a factor of about 2 - s per step.  So from the first step at the floor on,
+the weights take the factor s - 1 of the Hessian (Newton steps); waiting at the
+floor for the energy to settle only adds Kacanov steps (DG on the paper problem
+at 5120 elements: 90 steps with Newton from a floor step that changed the
+energy by at most 1e-8 relative, 22 from the first).  The switch is two-way: right
 after a Newton step that the line search shortened (alpha < 1), whose quadratic
 model overshot, one step takes the relaxed Kacanov weights again, then Newton
 resumes.  The step length halves from 1 until the energy decreases
@@ -56,8 +58,10 @@ class BfgsConfig:
     initial_guess: object = None  # None: the line through the Dirichlet data; or DOFs
 
     def __post_init__(self):
-        if self.grad_tol <= 0.0 or self.max_iters <= 0:
-            raise ValueError("tolerances and iteration budget must be positive")
+        # an infinite tolerance passes every test at step 0, a nan one none
+        if not 0.0 < self.grad_tol < np.inf or self.max_iters <= 0:
+            raise ValueError("the tolerance must be finite and positive, and the "
+                             "iteration budget positive")
 
 
 @dataclass
@@ -122,9 +126,13 @@ def _armijo_search(fg, x, p, f0, dphi0, max_iter=60):
     raise _LineSearchFailure
 
 
-# Relative energy change of a step at the eps floor from which Kacanov steps
-# switch to Newton weights.
-NEWTON_RTOL = 1e-8
+# Unknowns (rows, padding included) at or below which block cyclic reduction
+# stops and the remaining block tridiagonal system is solved as one dense
+# matrix: a level costs about the same numpy calls however few blocks it holds.
+# Best times of one solve (2 vCPU) at half-bandwidth 3 with tails of 12, 24,
+# 48, 96 and 192 rows: 541, 466, 446, 474 and 1653 us at 640 rows, 913, 830,
+# 802, 831 and 1995 us at 2560 rows.
+TAIL_UNKNOWNS = 48
 
 
 @functools.lru_cache(maxsize=32)
@@ -158,26 +166,32 @@ def _block_index(m, n):
 def _band_solve(ab, rhs):
     """Solve H x = rhs for the SPD band matrix H given by its lower band ``ab``
     (H[i + k, i] in row k, column i), by block cyclic reduction (Buzbee, Golub
-    & Nielson, SIAM J. Numer. Anal. 7, 1970) on the blocks of ``_block_index``.
+    & Nielson, SIAM J. Numer. Anal. 7, 1970) on the blocks of ``_block_index``,
+    ended by a dense solve (Zhang, Cohen & Owens, PPoPP 2010).
 
     Each level eliminates its even blocks.  One pass of elimination without
     row exchanges turns the stack ``[B | C | A | r]`` of every even block, with
     C[i] = A[i + 1]^T, into ``B^{-1} [C | A | r]``.  The odd blocks, each
     between two even ones, subtract their Schur complements in two batched
-    products and form the next level.  Back-substitution runs through the
-    levels in reverse.  A level costs the same few numpy calls whatever its
-    size, and there are log2 N of them.
+    products and form the next level.  A level costs the same few numpy calls
+    whatever its size, so the levels stop once at most ``TAIL_UNKNOWNS`` rows,
+    padding included, are left; those are scattered into one dense matrix and
+    solved directly.  Back-substitution then runs through the levels in
+    reverse.  Where the padded matrix has at most ``TAIL_UNKNOWNS`` rows, the
+    dense solve is the whole solve.
 
-    The pivots of each elimination are the D of B = L D L^T.  Each is checked
-    positive and finite before it is divided by, so a matrix that is not SPD
-    raises ``np.linalg.LinAlgError``, as does a non-finite solution: a failed
-    factorization never yields a step.
+    A matrix that is not SPD raises ``np.linalg.LinAlgError``, as does a
+    non-finite solution: a failed factorization never yields a step.  The
+    pivots of each level's elimination, the D of B = L D L^T, are each checked
+    positive and finite before they are divided by; the dense matrix is
+    checked finite (``np.linalg.cholesky`` takes an infinite diagonal) and
+    positive definite by its Cholesky factorization.
     """
     n = rhs.size
     T = np.concatenate((ab.ravel(), rhs, (0.0, 1.0))).take(_block_index(ab.shape[0] - 1, n))
     b = T.shape[0]
     levels = []
-    while True:
+    while T.shape[2] * b > TAIL_UNKNOWNS:
         even, odd = T[..., 0::2], T[..., 1::2]
         no = odd.shape[2]
         M = np.empty((b, 3 * b + 1, no + 1))
@@ -196,8 +210,6 @@ def _band_solve(ab, rhs):
             M[:j, b:] -= M[:j, j, None] * M[j, b:]
         E = M[:, b:]
         levels.append(E)
-        if no == 0:
-            break
         # with E = [E_C | E_A | E_r], odd block j between even blocks j and j + 1
         # takes B - A E_C[j] - C E_A[j + 1], couples back by -A E_A[j] and has the
         # right-hand side r - A E_r[j] - C E_r[j + 1], where C = A[j + 1]^T
@@ -207,8 +219,23 @@ def _band_solve(ab, rhs):
         np.negative(left[:, b:2 * b], out=T[:, b:2 * b])
         T[:, :b] -= right[:, :b]
         T[:, 2 * b] -= right[:, b]
-    # x holds the odd blocks of a level between zero blocks; the top level has none
-    x = np.zeros((b, 2))
+    # the tail: block i of the dense matrix holds B[i], A[i] left of it and
+    # A[i + 1]^T right of it
+    N = T.shape[2]
+    i = np.arange(N)
+    D = np.zeros((N, b, N, b))
+    D[i, :, i] = T[:, :b].transpose(2, 0, 1)
+    D[i[1:], :, i[:-1]] = T[:, b:2 * b, 1:].transpose(2, 0, 1)
+    D[i[:-1], :, i[1:]] = T[:, b:2 * b, 1:].transpose(2, 1, 0)
+    D = D.reshape(N * b, N * b)
+    if not np.all(np.isfinite(D)):
+        raise np.linalg.LinAlgError("non-finite matrix")
+    # the factor only certifies D positive definite: numpy has no triangular
+    # solve, and two general ones on it cost more than one on D
+    np.linalg.cholesky(D)
+    # x holds the blocks a level left over, between two zero blocks
+    x = np.zeros((b, N + 2))
+    x[:, 1:-1] = np.linalg.solve(D, T[:, 2 * b].T.ravel()).reshape(N, b).T
     for E in reversed(levels):
         xe = E[:, 2 * b] - np.einsum("ilj,lj->ij", E[:, :2 * b],
                                      np.concatenate((x[:, 1:], x[:, :-1])))
@@ -259,7 +286,7 @@ def _minimize(asm, x, cfg):
     gap = None
     it = newton_steps = 0
     alpha = 1.0
-    eps = f_step = None
+    eps = None
     newton_phase = newton = False
     while not converged and it < cfg.max_iters:
         t = asm.residual(x)
@@ -269,8 +296,7 @@ def _minimize(asm, x, cfg):
             eps = tmax
         else:
             eps = max(eps / 10.0, floor)
-            newton_phase |= eps == floor and abs(f_step - f) <= NEWTON_RTOL * abs(f)
-        f_step = f
+            newton_phase |= eps == floor
         newton = newton_phase and not (newton and alpha < 1.0)
         c = asm.weights(t, eps, newton)
         try:

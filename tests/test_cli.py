@@ -109,6 +109,13 @@ def test_properties_seed_invariance():
     assert main(["properties", "--suite", "modular", "--seed", "99"]) == 0
 
 
+def test_non_finite_tolerance_is_config_error(tmp_path, capsys):
+    for tol in ("inf", "nan", "-1"):
+        assert main(["solve", "--method", "dg", "--n", "10", "--tol", tol,
+                     "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("config error")
+
+
 def test_unknown_suite_is_config_error():
     assert main(["properties", "--suite", "nope"]) == 3
 

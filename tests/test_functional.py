@@ -305,10 +305,14 @@ def test_gradient_and_hess_match_the_dense_term_operator():
 def test_band_solve_matches_dense_solve():
     rng = np.random.default_rng(2)
     for m in (0, 1, 2, 3, 5):
-        # block counts at and just past 2^k - 1 blocks of max(m, 1) rows
+        # block counts at and just past 2^k - 1 blocks of max(m, 1) rows, and
+        # sizes around the largest that the dense tail solves whole and
+        # around its 48 rows
         b = max(m, 1)
         blocks = {(2 ** k - 1) * b + d for k in (1, 2, 3, 4) for d in (-1, 0, 1)}
-        for n in sorted({1, 2, 3, 4, 7, 8, 9, 31, 100} | blocks - {0}):
+        whole = max((2 ** k - 1) * b for k in range(1, 7) if (2 ** k - 1) * b <= 48)
+        tail = {whole + d for d in (-1, 0, 1)} | {47, 48, 49}
+        for n in sorted(({1, 2, 3, 4, 7, 8, 9, 31, 100, 300} | blocks | tail) - {0}):
             ab = 0.3 * rng.normal(size=(m + 1, n))
             ab[0] = np.abs(ab[0]) + 2.0 * (m + 1)  # diagonally dominant: SPD
             rhs = rng.normal(size=n)
