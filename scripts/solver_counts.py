@@ -7,21 +7,24 @@ run that a duality gap certifies), those with Newton weights, the line-search
 failures, the stop reason, the duality
 gap over the energy, ``gap/|E|``, to read against the solve's tol (taken at
 the last step at the Kacanov eps floor; ``-`` where no step reached it), the
-final energy as ``float.hex()`` and the wall time of the minimization; a
-last row sums the steps, evaluations and solves.  The corpus is every solve of
+final energy as ``float.hex()``, the wall time of the minimization and the
+milliseconds spent in ``optimize._band_solve`` (``band_ms``); a last row sums
+the steps, evaluations, solves and ``band_ms``.  The corpus is every solve of
 the benchmark's workloads (``perfbench/workloads.py``: paper-figures, dg-dense,
 dg-limited, const-p2), DG on the paper problem at 2560 and 5120 elements, the
 hat exponent with q = r = 3 fidelity for DG and CG at 10 and 40 elements, and
 DG with ``--k 2 --l 1`` at 20, 30, ..., 80 elements.
-Counts, totals and energies are deterministic; wall times are not, so two
-runs diffed without the ``wall_s`` column check a refactor bitwise.  Nothing is
-written to disk.
+Counts, totals and energies are deterministic; times are not, so two runs
+diffed without the ``wall_s`` and ``band_ms`` columns, the first 117
+characters of each line, check a refactor bitwise.  Nothing is written to disk.
 
     python3 scripts/solver_counts.py
+    python3 scripts/solver_counts.py | cut -c1-117 > counts.txt
 """
 
 import os
 import sys
+import time
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
@@ -62,32 +65,40 @@ def corpus():
 
 
 def counting_band_solves():
-    """Count the calls of ``optimize._band_solve``: returns a one-entry list
-    that each call increments."""
-    band_solve, count = optimize._band_solve, [0]
+    """Count and time the calls of ``optimize._band_solve``: returns a list
+    [calls, seconds] to which each call adds."""
+    band_solve, tally = optimize._band_solve, [0, 0.0]
 
-    def counted(ab, rhs):
-        count[0] += 1
-        return band_solve(ab, rhs)
+    def counted(*args):
+        t0 = time.perf_counter()
+        try:
+            return band_solve(*args)
+        finally:
+            tally[0] += 1
+            tally[1] += time.perf_counter() - t0
 
     optimize._band_solve = counted
-    return count
+    return tally
 
 
 def main():
     solves = counting_band_solves()
     print(f"{'solve':<28} {'steps':>6} {'evals':>6} {'solves':>6} {'newton':>6} {'ls_fail':>7} "
-          f"{'stop':<18} {'gap/|E|':>10} {'energy':>22} {'wall_s':>8}")
+          f"{'stop':<18} {'gap/|E|':>10} {'energy':>22} {'wall_s':>8} {'band_ms':>8}")
     total = np.zeros(3, dtype=int)
+    band_ms = 0.0
     for label, method, spec, k, cfg in corpus():
-        solves[0] = 0
+        solves[:] = 0, 0.0
         rep = (solve_dg if method == "dg" else solve_cg)(spec, k, cfg)
         gap = "-" if rep.gap is None else f"{rep.gap / abs(rep.f_history[-1]):.3g}"
         print(f"{label:<28} {rep.iterations:>6} {rep.n_evals:>6} {solves[0]:>6} "
               f"{rep.newton_steps:>6} {rep.line_search_failures:>7} {rep.stop_reason:<18} "
-              f"{gap:>10} {rep.breakdown.total.hex():>22} {rep.wall_time:>8.4f}")
+              f"{gap:>10} {rep.breakdown.total.hex():>22} {rep.wall_time:>8.4f} "
+              f"{1e3 * solves[1]:>8.2f}")
         total += (rep.iterations, rep.n_evals, solves[0])
-    print(f"{'total':<28} {total[0]:>6} {total[1]:>6} {total[2]:>6}")
+        band_ms += 1e3 * solves[1]
+    # band_ms in its column, past the first 117 characters
+    print(f"{'total':<28} {total[0]:>6} {total[1]:>6} {total[2]:>6}{'':>77} {band_ms:>8.2f}")
     return 0
 
 

@@ -58,9 +58,7 @@ __all__ = [
     "FunctionalSpec",
     "TermBreakdown",
     "eval_discrete",
-    "grad_discrete",
     "eval_continuous",
-    "grad_continuous",
     "discrete_assembly",
     "continuous_assembly",
 ]
@@ -198,6 +196,23 @@ def _row_blocks(cols, vals):
     cols, vals = np.broadcast_arrays(cols, vals)
     cols, vals = cols.reshape(-1, cols.shape[-1]), vals.reshape(-1, vals.shape[-1])
     return np.repeat(np.arange(len(vals)), vals.shape[1]), cols.ravel(), vals.ravel()
+
+
+def _tridiagonal_blocks(pattern):
+    """The smallest block size b, with the smallest leading shift s < b, for
+    which the lower band pattern (``pattern[k, i]`` true where H[i + k, i] may
+    be nonzero) is block tridiagonal on the blocks of b rows led by s padding
+    rows: row i in block (i + s) // b.  Entries below the last row are
+    ignored.  (max(m, 1), 0) holds every pattern of half-bandwidth m."""
+    m, n = pattern.shape[0] - 1, pattern.shape[1]
+    k, i = np.nonzero(pattern)
+    keep = i + k < n
+    k, i = k[keep], i[keep]
+    for b in range(1, max(m, 1)):
+        for s in range(b):
+            if np.all((i + k + s) // b - (i + s) // b <= 1):
+                return b, s
+    return max(m, 1), 0
 
 
 class _Assembly:
@@ -399,6 +414,20 @@ class _Assembly:
                 np.concatenate([d.vals.ravel() for d in diagonals]),
                 [d.vals.shape[0] for d in diagonals])
 
+    @cached_property
+    def band_blocks(self):
+        """(b, s): the blocks of ``optimize._band_solve`` for the band of
+        ``hess`` on the free columns, from ``_tridiagonal_blocks`` of its
+        structural pattern.  (k + 1, 1) for DG on three or more elements: a
+        volume row reaches its own element's DOFs and the one next to each of
+        its faces, so the blocks are centred on the faces.  (k, 0) for CG."""
+        _, vals, widths = self._band_map
+        n = self.A.shape[1]
+        ends = np.cumsum([0] + [width * n for width in widths])
+        pattern = np.array([vals[a:z].reshape(-1, n).any(axis=0)
+                            for a, z in zip(ends[:-1], ends[1:])])
+        return _tridiagonal_blocks(pattern[:, self.free])
+
     def weights(self, t, eps, newton=False):
         """The weights c = w s max(|t|, eps)^{s-2} / d of the relaxed Kacanov
         matrix A^T diag(c) A at the residual t = A x - b; ``newton`` multiplies
@@ -458,12 +487,6 @@ def eval_discrete(v, spec):
     return discrete_assembly(spec, v.degree).terms(v.dof_vector())
 
 
-def grad_discrete(v, spec):
-    """Exact gradient of the quadrature-discretized energy w.r.t. v's DOFs."""
-    _check_mesh(v, spec)
-    return discrete_assembly(spec, v.degree).gradient(v.dof_vector())
-
-
 def _require_continuous(v):
     if v.mesh.n_elements > 1:
         scale = 1.0 + float(np.max(np.abs(v.coeffs)))
@@ -477,13 +500,6 @@ def eval_continuous(v, spec):
     _require_continuous(v)
     asm = continuous_assembly(spec, v.degree)
     return asm.terms(asm.broken_to_unique(v.dof_vector()))
-
-
-def grad_continuous(v, spec):
-    _check_mesh(v, spec)
-    _require_continuous(v)
-    asm = continuous_assembly(spec, v.degree)
-    return asm.value_and_grad(asm.broken_to_unique(v.dof_vector()))[1]
 
 
 def coercivity_certificate(v, spec):

@@ -8,17 +8,16 @@ from pxdg.exponents import ExponentField
 from pxdg.functional import (
     FunctionalSpec,
     TermBreakdown,
+    _tridiagonal_blocks,
     coercivity_certificate,
     continuous_assembly,
     discrete_assembly,
     eval_continuous,
     eval_discrete,
-    grad_continuous,
-    grad_discrete,
 )
 from pxdg.lifting import LiftingConfig, lift
 from pxdg.meshes import uniform_mesh
-from pxdg.optimize import _band_solve
+from pxdg.optimize import TAIL_UNKNOWNS, _band_solve, _block_index
 from pxdg.problems import benchmark_mesh, cg_spec, dg_spec, paper1d
 from pxdg.quadrature import gauss_legendre
 
@@ -306,12 +305,10 @@ def test_band_solve_matches_dense_solve():
     rng = np.random.default_rng(2)
     for m in (0, 1, 2, 3, 5):
         # block counts at and just past 2^k - 1 blocks of max(m, 1) rows, and
-        # sizes around the largest that the dense tail solves whole and
-        # around its 48 rows
+        # sizes around the largest that the dense tail solves whole
         b = max(m, 1)
         blocks = {(2 ** k - 1) * b + d for k in (1, 2, 3, 4) for d in (-1, 0, 1)}
-        whole = max((2 ** k - 1) * b for k in range(1, 7) if (2 ** k - 1) * b <= 48)
-        tail = {whole + d for d in (-1, 0, 1)} | {47, 48, 49}
+        tail = {TAIL_UNKNOWNS + d for d in (-1, 0, 1)}
         for n in sorted(({1, 2, 3, 4, 7, 8, 9, 31, 100, 300} | blocks | tail) - {0}):
             ab = 0.3 * rng.normal(size=(m + 1, n))
             ab[0] = np.abs(ab[0]) + 2.0 * (m + 1)  # diagonally dominant: SPD
@@ -339,12 +336,80 @@ def test_band_solve_matches_dense_solve():
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
+def kacanov_band(asm, rng):
+    """The Kacanov band of ``asm`` on its free columns at a random point."""
+    x = rng.normal(scale=1e5, size=asm.A.shape[1])
+    t = asm.residual(x)
+    return asm.hess(asm.weights(t, 1e-3 * np.max(np.abs(t))))[:, asm.free]
+
+
+def block_assemblies(n):
+    """DG of degree 1, 2, 3 (2 and 3 on Gauss rules) and CG of degree 1 and 2
+    with both ends pinned and with the left end only, on n elements."""
+    prob = paper1d()
+    for k, rule in ((1, ("trapezoid", 1)), (2, ("gauss", 3)), (3, ("gauss", 4))):
+        yield f"dg{k}", discrete_assembly(dg_spec(prob, benchmark_mesh(n), rule), k)
+    for k in (1, 2):
+        yield f"cg{k}", continuous_assembly(cg_spec(prob, benchmark_mesh(n)), k)
+    left = FunctionalSpec(uniform_mesh(-1, 1, n, "left"), HAT, r=P2, u_D={"left": -1.0})
+    yield "cg1-left", continuous_assembly(left, 1)
+
+
+def test_band_blocks_are_centred_on_the_faces_for_dg():
+    # DG block j: the last DOF of element j - 1 and the first k of element j
+    for name, asm in block_assemblies(40):
+        k = asm.degree
+        assert asm.band_blocks == ((k + 1, 1) if name.startswith("dg") else (k, 0)), name
+
+
+def test_band_solve_with_the_assembly_blocks_matches_dense_solve():
+    # sizes whose padded block systems take 0, 1 and several reduction levels
+    rng = np.random.default_rng(3)
+    depths = {}
+    for n in (8, 20, 40, 80, 200):
+        for name, asm in block_assemblies(n):
+            ab = kacanov_band(asm, rng)
+            rhs = rng.normal(size=ab.shape[1])
+            want = np.linalg.solve(band_to_dense(ab), rhs)
+            got = _band_solve(ab, rhs, asm.band_blocks)
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), (name, n)
+            depth = _block_index(ab.shape[0] - 1, ab.shape[1], *asm.band_blocks)[2]
+            depths.setdefault(name, set()).add(depth)
+    for name, seen in depths.items():
+        assert {0, 1} <= seen and max(seen) >= 2, (name, seen)
+
+
+def test_a_band_that_does_not_fit_the_blocks_is_solved_whole():
+    # a full band fits only the blocks of its half-bandwidth
+    for m in range(5):
+        pattern = np.ones((m + 1, 30), dtype=bool)
+        assert _tridiagonal_blocks(pattern) == (max(m, 1), 0)
+    # entries in no block of (b, s): _band_solve keeps them, with the default blocks
+    rng = np.random.default_rng(4)
+    prob = paper1d()
+    dg = discrete_assembly(dg_spec(prob, benchmark_mesh(200)), 1)
+    full = 0.3 * rng.normal(size=(4, 400))
+    full[0] = np.abs(full[0]) + 8.0  # diagonally dominant: SPD
+    for ab in (full, kacanov_band(dg, rng)[:, 1:-1]):
+        assert np.any(ab.ravel()[_block_index(3, ab.shape[1], 2, 1)[1]] != 0.0)
+        rhs = rng.normal(size=ab.shape[1])
+        want = np.linalg.solve(band_to_dense(ab), rhs)
+        got = _band_solve(ab, rhs, dg.band_blocks)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    # a nan outside the blocks is not dropped either
+    ab = kacanov_band(dg, rng)
+    k, i = divmod(int(_block_index(3, ab.shape[1], *dg.band_blocks)[1][7]), ab.shape[1])
+    ab[k, i] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        _band_solve(ab, np.ones(ab.shape[1]), dg.band_blocks)
+
+
 def test_gradient_of_zero_candidate_is_boundary_local():
     B = 5.0
     mesh = uniform_mesh(-1, 1, 8)
     spec = make_spec(mesh, u_D={"left": -B, "right": B})
     v = BrokenFunction(mesh, 1, np.zeros((8, 2)))
-    g = grad_discrete(v, spec)
+    g = discrete_assembly(spec, 1).gradient(v.dof_vector())
     assert g[0] != 0.0 and g[-1] != 0.0
     assert np.max(np.abs(g[1:-1])) == 0.0
 
@@ -366,11 +431,9 @@ def test_continuous_gradient_matches_fd():
     mesh = uniform_mesh(-1, 1, 5)
     spec = make_spec(mesh, p=HAT, normalize_by_exponent=True)
     v = interpolate(mesh, 1, lambda x: np.sin(x), continuous=True)
-    g = grad_continuous(v, spec)
-    from pxdg.functional import continuous_assembly
-
     asm = continuous_assembly(spec, 1)
     x = asm.broken_to_unique(v.dof_vector())
+    g = asm.value_and_grad(x)[1]
     h = 1e-7
     for i in (0, 2, asm.n_unique - 1):
         e = np.zeros_like(x)

@@ -204,14 +204,22 @@ def test_band_solve_rejects_a_bad_diagonal_in_a_level_and_in_the_tail():
     n = 3 * 127
     ab = 0.3 * rng.normal(size=(4, n))
     ab[0] = np.abs(ab[0]) + 8.0  # diagonally dominant: SPD
-    assert np.all(np.isfinite(_band_solve(ab, np.ones(n))))
-    for row, where in ((3 * 4 + 1, "pivot"),
-                       (3 * 63 + 1, "non-finite matrix|not positive definite")):
-        for bad in (-1.0, 0.0, np.nan, np.inf):
-            broken = ab.copy()
-            broken[0, row] = bad
-            with pytest.raises(np.linalg.LinAlgError, match=where):
-                _band_solve(broken, np.ones(n))
+    # DG on 400 elements, on its face-centred blocks of 2 rows led by one
+    # padding row: 511 blocks, of which 5 levels leave 15, the middle block 255
+    # (rows 509 and 510) among them; block 4 (rows 7 and 8) goes in the first
+    dg = discrete_assembly(dg_spec(paper1d(), benchmark_mesh(400)), 1)
+    t = dg.residual(rng.normal(scale=1e5, size=dg.ndof))
+    kacanov = dg.hess(dg.weights(t, 1e-3 * np.max(np.abs(t))))
+    for ab, blocks, level, tail in ((ab, None, 3 * 4 + 1, 3 * 63 + 1),
+                                    (kacanov, dg.band_blocks, 7, 509)):
+        rhs = np.ones(ab.shape[1])
+        assert np.all(np.isfinite(_band_solve(ab, rhs, blocks)))
+        for row, where in ((level, "pivot"), (tail, "non-finite matrix|not positive definite")):
+            for bad in (-1.0, 0.0, np.nan, np.inf):
+                broken = ab.copy()
+                broken[0, row] = bad
+                with pytest.raises(np.linalg.LinAlgError, match=where):
+                    _band_solve(broken, rhs, blocks)
 
 
 def test_bad_pivot_ends_the_solve_without_a_step():
