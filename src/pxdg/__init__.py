@@ -3,7 +3,7 @@ p(x)-Dirichlet energies on 1D meshes, with the calibrated steep-gradient
 benchmark and its exact solution."""
 
 from .broken import BrokenFunction, broken_seminorm, elementwise_gradient, interpolate, jumps
-from .exact import ExactSolution, build_exact, eval_exact
+from .exact import ExactSolution, build_exact
 from .exponents import ExponentField, WeightedSampleSet, luxemburg_norm, modular
 from .functional import FunctionalSpec, TermBreakdown, eval_continuous, eval_discrete
 from .lifting import LiftingConfig, lift
@@ -14,7 +14,7 @@ from .reconstruction import reconstruct
 
 __all__ = [
     "BrokenFunction", "broken_seminorm", "elementwise_gradient", "interpolate", "jumps",
-    "ExactSolution", "build_exact", "eval_exact",
+    "ExactSolution", "build_exact",
     "ExponentField", "WeightedSampleSet", "luxemburg_norm", "modular",
     "FunctionalSpec", "TermBreakdown", "eval_continuous", "eval_discrete",
     "LiftingConfig", "lift",

@@ -20,8 +20,6 @@ __all__ = [
     "interpolate",
     "elementwise_gradient",
     "jumps",
-    "jump",
-    "face_values",
     "broken_seminorm",
     "total_variation",
     "inverse_estimate_check",
@@ -167,32 +165,6 @@ def elementwise_gradient(u):
 def jumps(u):
     """[u] = u^- - u^+ at every interior face (face f sits at node f+1)."""
     return u.coeffs[:-1, -1] - u.coeffs[1:, 0]
-
-
-def jump(u, face_index):
-    j = jumps(u)
-    if not 0 <= face_index < j.size:
-        raise IndexError("not an interior face")
-    return float(j[face_index])
-
-
-@dataclass(frozen=True)
-class FaceValues:
-    xs: np.ndarray
-    trace_left: np.ndarray
-    trace_right: np.ndarray
-    jumps: np.ndarray
-    boundary_traces: tuple
-
-
-def face_values(u):
-    return FaceValues(
-        u.mesh.interior_faces.copy(),
-        u.coeffs[:-1, -1].copy(),
-        u.coeffs[1:, 0].copy(),
-        jumps(u),
-        (float(u.coeffs[0, 0]), float(u.coeffs[-1, -1])),
-    )
 
 
 def volume_samples(mesh, points_per_element):

@@ -24,6 +24,7 @@ from .problems import (
     cg_spec,
     custom_spec,
     dg_spec,
+    key_value_pairs,
     load_problem_file,
     paper1d,
     reference_energy,
@@ -100,14 +101,7 @@ def _apply_config_file(args, argv, parser):
     the subcommand parser's action for that key."""
     if not getattr(args, "config", None):
         return args
-    overrides = {}
-    with open(args.config) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            overrides[key.strip().replace("-", "_")] = val.strip()
+    overrides = {key.replace("-", "_"): val for key, val in key_value_pairs(args.config)}
     argv_keys = {a.lstrip("-").split("=")[0].replace("-", "_")
                  for a in argv if a.startswith("--")}
     actions = {a.dest: a for a in parser._actions}

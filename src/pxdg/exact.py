@@ -14,7 +14,7 @@ import numpy as np
 
 from .quadrature import gauss_legendre
 
-__all__ = ["ExactSolution", "build_exact", "eval_exact"]
+__all__ = ["ExactSolution", "build_exact"]
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,3 @@ def build_exact(eps, a, C, rtol=1e-12):
         prev = B
         n *= 2
     return ExactSolution(float(eps), float(a), float(C), float(B), edges, prefix)
-
-
-def eval_exact(sol, x):
-    """(u(x), u'(x)); errors outside [-1, 1]."""
-    return sol.u(x), sol.uprime(x)

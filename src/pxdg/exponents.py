@@ -6,7 +6,7 @@ Nothing here integrates analytically.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "check_modular_norm_relations",
     "log_holder_bound",
     "pointwise_inequalities",
-    "estimate_c_log",
 ]
 
 
@@ -47,26 +46,21 @@ class ExponentField:
     a: float = 0.0
     xs: tuple = ()
     vals: tuple = ()
-    c_log: float = field(default=0.0)
 
     @staticmethod
     def constant(value, domain=(-math.inf, math.inf)):
         if value < 1.0:
             raise ValueError("exponent must satisfy p >= 1")
-        return ExponentField("const", tuple(domain), value=float(value), c_log=0.0)
+        return ExponentField("const", tuple(domain), value=float(value))
 
     @staticmethod
-    def hat_family(eps, a, domain=(-1.0, 1.0), c_log=None):
+    def hat_family(eps, a, domain=(-1.0, 1.0)):
         if not (0.0 < eps < 1.0 and 0.0 < a < 1.0):
             raise ValueError("hat family needs 0 < eps, a < 1")
-        f = ExponentField("hat", tuple(domain), eps=float(eps), a=float(a))
-        if c_log is None:
-            c_log = estimate_c_log(f)
-        object.__setattr__(f, "c_log", float(c_log))
-        return f
+        return ExponentField("hat", tuple(domain), eps=float(eps), a=float(a))
 
     @staticmethod
-    def piecewise_linear(xs, vals, c_log=None):
+    def piecewise_linear(xs, vals):
         xs = tuple(float(x) for x in xs)
         vals = tuple(float(v) for v in vals)
         if len(xs) != len(vals) or len(xs) < 2:
@@ -75,11 +69,7 @@ class ExponentField:
             raise ValueError("breakpoints must be strictly increasing")
         if min(vals) < 1.0:
             raise ValueError("exponent must satisfy p >= 1")
-        f = ExponentField("pwl", (xs[0], xs[-1]), xs=xs, vals=vals)
-        if c_log is None:
-            c_log = estimate_c_log(f)
-        object.__setattr__(f, "c_log", float(c_log))
-        return f
+        return ExponentField("pwl", (xs[0], xs[-1]), xs=xs, vals=vals)
 
     @property
     def p1(self):
@@ -120,27 +110,11 @@ class ExponentField:
             p = np.interp(x, self.xs, self.vals)
         return float(p) if scalar else p
 
-    def conjugate(self, x):
-        """Conjugate exponent p'(x) with 1/p + 1/p' = 1; inf where p = 1."""
-        p = np.asarray(self(x), dtype=float)
-        with np.errstate(divide="ignore"):
-            out = np.where(p > 1.0, p / np.maximum(p - 1.0, 1e-300), np.inf)
-        return float(out) if np.isscalar(x) else out
-
     def neg_inv_conjugate(self, x):
         """The exponent -1/p'(x) = (1-p)/p, read as 0 where p = 1."""
         p = np.asarray(self(x), dtype=float)
         out = (1.0 - p) / p
         return float(out) if np.isscalar(x) else out
-
-    def to_text(self):
-        if self.kind == "const":
-            return f"kind=const value={self.value:.17g}"
-        if self.kind == "hat":
-            return f"kind=hat eps={self.eps:.17g} a={self.a:.17g}"
-        xs = ",".join(f"{x:.17g}" for x in self.xs)
-        vals = ",".join(f"{v:.17g}" for v in self.vals)
-        return f"kind=pwl xs={xs} vals={vals}"
 
     @staticmethod
     def from_text(text):
@@ -202,8 +176,9 @@ def modular(samples, values, fld):
     return float(np.sum(samples.weights * np.abs(values) ** p))
 
 
-def _modular_and_slope(samples, values, fld, k, p):
-    """rho(u/k) and d rho(u/k) / dk for the Newton polish."""
+def _modular_and_slope(samples, values, k, p):
+    """rho(u/k) and d rho(u/k) / dk at the sampled exponents p: the bracket and
+    the bisection read rho, the Newton polish both."""
     t = np.abs(values) / k
     tp = t**p
     rho = float(np.sum(samples.weights * tp))
@@ -234,24 +209,24 @@ def luxemburg_norm(samples, values, fld, rtol=1e-12):
     lo, hi = min(lo, 1.0), max(hi, 1.0)
     # expand until modular(u/lo) >= 1 >= modular(u/hi)
     for _ in range(200):
-        if _modular_and_slope(samples, values, fld, lo, p)[0] >= 1.0:
+        if _modular_and_slope(samples, values, lo, p)[0] >= 1.0:
             break
         lo *= 0.5
     for _ in range(200):
-        if _modular_and_slope(samples, values, fld, hi, p)[0] <= 1.0:
+        if _modular_and_slope(samples, values, hi, p)[0] <= 1.0:
             break
         hi *= 2.0
     for _ in range(200):
         if hi - lo <= rtol * hi:
             break
         mid = 0.5 * (lo + hi)
-        if _modular_and_slope(samples, values, fld, mid, p)[0] > 1.0:
+        if _modular_and_slope(samples, values, mid, p)[0] > 1.0:
             lo = mid
         else:
             hi = mid
     k = 0.5 * (lo + hi)
     for _ in range(3):
-        r, dr = _modular_and_slope(samples, values, fld, k, p)
+        r, dr = _modular_and_slope(samples, values, k, p)
         if dr == 0.0:
             break
         step = (r - 1.0) / dr
@@ -382,18 +357,3 @@ def pointwise_inequalities(eta, xi, px):
         c3 = abs(eta) ** px / rhs3
     ok3 = c3 <= 2.0 ** (px - 1.0) * (1.0 + 1e-12)
     return PointwiseInequalityReport(px, pairing, c1, c2, c3, ok3)
-
-
-def estimate_c_log(fld, n_levels=20, n_base=129):
-    """Sampled log-Holder constant: sup |p(x)-p(y)| log(e + 1/|x-y|) over dyadic pairs."""
-    lo, hi = fld.domain
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return 0.0
-    width = hi - lo
-    best = 0.0
-    for j in range(n_levels):
-        d = width * 2.0 ** -(j + 1)
-        xs = np.linspace(lo, hi - d, n_base)
-        dp = np.abs(np.asarray(fld(xs + d)) - np.asarray(fld(xs)))
-        best = max(best, float(np.max(dp)) * math.log(math.e + 1.0 / d))
-    return best

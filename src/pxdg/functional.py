@@ -50,8 +50,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .broken import BrokenFunction, _basis, _eval_matrix, jumps
-from .lifting import LiftingConfig, lift_matrix
+from .broken import BrokenFunction, _basis, _eval_matrix, elementwise_gradient, jumps
+from .lifting import LiftingConfig, lift, lift_matrix
 from .quadrature import composite_points, reference_rule
 
 __all__ = [
@@ -243,7 +243,6 @@ class _Assembly:
         first = (np.arange(ne) * nk)[:, None, None]  # each element's first DOF
         own = first + np.arange(nk)
         G = DPHI * (2.0 / h)[:, None, None]       # (ne, nq, nk)
-        self._gv_blocks = (own, G)
         volume = _row_blocks(own, G)
         if not continuous:
             # the lifted jumps at the quadrature points: R(v) = EK[..., 0] [v]_left
@@ -260,7 +259,6 @@ class _Assembly:
             R = np.zeros(G.shape[:2] + (nk + 2,))
             R[..., 0], R[..., 1] = EK[..., 0], -EK[..., 0]
             R[..., nk], R[..., nk + 1] = EK[..., 1], -EK[..., 1]
-            self._rv_blocks = (wide, R)
             volume = _row_blocks(wide, R + np.pad(G, [(0, 0), (0, 0), (1, 1)]))
 
         # (field, nrows, (rows, cols, vals) of A, b, s, w, d): the term
@@ -329,16 +327,6 @@ class _Assembly:
                             for term, n in zip(terms, sizes)])
             for k in range(3, 7))
 
-    @cached_property
-    def Gv(self):
-        """The broken gradient at the quadrature points."""
-        return _RowOp(*_row_blocks(*self._gv_blocks), (self.xq.size, self.ndof))
-
-    @cached_property
-    def Rv(self):
-        """The lifted jumps at the quadrature points (DG: A's volume rows are Gv + Rv)."""
-        return _RowOp(*_row_blocks(*self._rv_blocks), (self.xq.size, self.ndof))
-
     def _term_values(self, power):
         """Each term's value from |A x - b|^s, in term order."""
         c = self.w * power / self.d
@@ -359,9 +347,6 @@ class _Assembly:
             val += part  # left to right; sum() compensates on Python >= 3.12
         grad = self.AT @ (self.w * slope / self.d)
         return val, grad
-
-    def gradient(self, v):
-        return self.value_and_grad(v)[1]
 
     def dual_point(self, t, c, dx):
         """The term slopes y0 = w s |t|^{s-2} t / d at the residual t, whose
@@ -510,11 +495,11 @@ def coercivity_certificate(v, spec):
     """
     _check_mesh(v, spec)
     asm = discrete_assembly(spec, v.degree)
-    dof = v.dof_vector()
-    gvals = asm.Gv @ dof
-    rvals = asm.Rv @ dof
+    rx = reference_rule(*spec.quadrature)[0]
+    gvals = elementwise_gradient(v).values_at_ref(rx).ravel()
+    rvals = lift(v, spec.lifting).values_at_ref(rx).ravel()
     grad_mod = float(np.sum(asm.wq * _power(gvals, asm.pq)))
     lift_mod = float(np.sum(asm.wq * _power(rvals, asm.pq)))
     lhs = 2.0 ** (1.0 - spec.p.p2) * grad_mod
-    rhs = asm.terms(dof).total + lift_mod
+    rhs = asm.terms(v.dof_vector()).total + lift_mod
     return lhs, rhs

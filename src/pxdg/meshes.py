@@ -94,28 +94,6 @@ class Mesh1D:
         i = np.clip(np.searchsorted(self.nodes, x, side=side) - 1, 0, self.n_elements - 1)
         return int(i) if i.ndim == 0 else i
 
-    def to_text(self):
-        coords = ",".join(f"{x:.17g}" for x in self.nodes)
-        tags = {"both": "left,right", "left": "left", "right": "right", "none": ""}
-        return f"nodes={coords} dirichlet={tags[self.dirichlet]}"
-
-    @staticmethod
-    def from_text(text):
-        kv = dict(tok.split("=", 1) for tok in text.split())
-        nodes = [float(t) for t in kv["nodes"].split(",")]
-        tags = set(t for t in kv.get("dirichlet", "").split(",") if t)
-        if tags == {"left", "right"}:
-            tag = "both"
-        elif tags == {"left"}:
-            tag = "left"
-        elif tags == {"right"}:
-            tag = "right"
-        elif not tags:
-            tag = "none"
-        else:
-            raise ValueError(f"bad dirichlet tags {tags}")
-        return Mesh1D(np.asarray(nodes), tag)
-
 
 def uniform_mesh(x_left, x_right, n, dirichlet="both"):
     """Uniform partition of (x_left, x_right) into n >= 2 equal elements."""

@@ -190,17 +190,17 @@ def _block_index(m, n, b, s):
         depth += 1
 
 
-def _band_solve(ab, rhs, blocks=None):
+def _band_solve(ab, rhs, blocks):
     """Solve H x = rhs for the SPD band matrix H given by its lower band ``ab``
     (H[i + k, i] in row k, column i), by block cyclic reduction (Buzbee, Golub
     & Nielson, SIAM J. Numer. Anal. 7, 1970) on the blocks of ``_block_index``,
     ended by a dense solve (Zhang, Cohen & Owens, PPoPP 2010).
 
-    ``blocks`` is the (size b, leading shift s) of the blocks; by default
-    (max(m, 1), 0), which holds every band of half-bandwidth m.  Smaller blocks
-    that hold the matrix's pattern cost less (``_Assembly.band_blocks``); where
-    a band entry outside them is nonzero, the default blocks solve instead, so
-    that no entry is dropped.
+    ``blocks`` is the (size b, leading shift s) of the blocks.  (max(m, 1), 0)
+    holds every band of half-bandwidth m; smaller blocks that hold the
+    matrix's pattern cost less (``_Assembly.band_blocks``).  A band entry
+    outside the blocks that is nonzero or nan raises
+    ``np.linalg.LinAlgError``, so that no entry is dropped.
 
     Each level eliminates its even blocks.  One pass of elimination without
     row exchanges turns the stack ``[B | C | A | r]`` of every even block, with
@@ -221,13 +221,11 @@ def _band_solve(ab, rhs, blocks=None):
     positive definite by its Cholesky factorization.
     """
     m, n = ab.shape[0] - 1, rhs.size
-    default = (max(m, 1), 0)
-    b, s = blocks or default
+    b, s = blocks
     index, outside, depth, tail = _block_index(m, n, b, s)
     flat = np.concatenate((ab.ravel(), rhs, (0.0, 1.0)))
     if outside.size and flat.take(outside).any():
-        b, s = default
-        index, outside, depth, tail = _block_index(m, n, b, s)
+        raise np.linalg.LinAlgError("a band entry outside the blocks")
     T = flat.take(index)
     levels = []
     # the pivots of a level are checked once its elimination is done: a bad

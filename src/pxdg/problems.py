@@ -116,6 +116,21 @@ _XI_SAMPLES = {
 }
 
 
+def key_value_pairs(path):
+    """The (key, value) pairs of a line-oriented key=value file, in file
+    order, each side stripped; blank lines and lines starting with # are
+    skipped."""
+    pairs = []
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, val = line.partition("=")
+            pairs.append((key.strip(), val.strip()))
+    return pairs
+
+
 def load_problem_file(path):
     """Line-oriented key=value problem description.
 
@@ -123,14 +138,7 @@ def load_problem_file(path):
     dirichlet (both|left|right|none), fidelity (on|off), xi (none|zero|sin),
     domain (xl,xr).  Unknown keys are an error.
     """
-    opts = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            opts[key.strip()] = val.strip()
+    opts = dict(key_value_pairs(path))
     known = {"p", "q", "r", "uD_left", "uD_right", "dirichlet", "fidelity", "xi", "domain"}
     unknown = set(opts) - known
     if unknown:

@@ -5,7 +5,6 @@ reconstruction is the nodal P1 function through those values.  It reproduces
 constants exactly and is used for diagnostics only, never inside the solver.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,6 @@ from .meshes import face_neighborhoods
 from .quadrature import composite_points, gauss_legendre
 
 __all__ = [
-    "project_node",
     "node_projections",
     "reconstruct",
     "local_seminorm",
@@ -48,10 +46,6 @@ def node_projections(u):
         m0 = means[idx[0]]
         out[z] = m0 + np.sum(h[idx] * (means[idx] - m0)) / np.sum(h[idx])
     return out
-
-
-def project_node(u, z):
-    return float(node_projections(u)[z])
 
 
 def reconstruct(u):
@@ -88,15 +82,6 @@ class ReconstructionReport:
     grad_norm: float
     seminorm: float
     element_ratios: list
-    gamma: float = 0.0  # p >= 1 = N in 1D forces the critical exponent to infinity
-    beta: float = 0.0
-
-    def to_csv(self):
-        buf = io.StringIO()
-        buf.write("element,h,local_error,local_bound,ratio\n")
-        for e, h, err, bound, ratio in self.element_ratios:
-            buf.write(f"{e},{h:.17g},{err:.17g},{bound:.17g},{ratio:.17g}\n")
-        return buf.getvalue()
 
 
 def reconstruction_error_report(u, p, q, points_per_element=None):

@@ -9,10 +9,8 @@ from pxdg.broken import (
     elementwise_gradient,
     embed_refine,
     evaluate,
-    face_values,
     interpolate,
     inverse_estimate_check,
-    jump,
     jumps,
     total_variation,
 )
@@ -69,20 +67,10 @@ def test_gradient_examples():
 
 def test_jump_examples():
     m = uniform_mesh(0, 1, 2)
-    assert jump(step_function(m, 1.0, 3.0), 0) == -2.0
-    assert jump(step_function(m, 0.0, 1.0), 0) == -1.0
+    assert jumps(step_function(m, 1.0, 3.0))[0] == -2.0
+    assert jumps(step_function(m, 0.0, 1.0))[0] == -1.0
     cont = interpolate(m, 1, lambda x: np.sin(x), continuous=True)
     assert np.max(np.abs(jumps(cont))) == 0.0
-    with pytest.raises(IndexError):
-        jump(cont, 5)
-
-
-def test_face_values():
-    m = uniform_mesh(0, 1, 2)
-    fv = face_values(step_function(m, 1.0, 3.0))
-    assert fv.trace_left[0] == 1.0 and fv.trace_right[0] == 3.0
-    assert fv.jumps[0] == -2.0
-    assert fv.boundary_traces == (1.0, 3.0)
 
 
 @settings(max_examples=40, deadline=None)

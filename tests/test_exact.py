@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from pxdg.exact import build_exact, eval_exact
+from pxdg.exact import build_exact
 
 
 @pytest.fixture(scope="module")
@@ -34,14 +34,10 @@ def test_boundary_value_calibration(bench):
 
 
 def test_eval_examples(bench):
-    u1, up1 = eval_exact(bench, 1.0)
-    assert u1 == bench.B and up1 == pytest.approx(1.3)
-    u0, up0 = eval_exact(bench, 0.0)
-    assert u0 == 0.0 and up0 == pytest.approx(1.3 ** (1 / 0.01))
+    assert bench.u(1.0) == bench.B and bench.uprime(1.0) == pytest.approx(1.3)
+    assert bench.u(0.0) == 0.0 and bench.uprime(0.0) == pytest.approx(1.3 ** (1 / 0.01))
     for x0 in (0.3, 0.007, 0.94):
-        um, upm = eval_exact(bench, -x0)
-        up_, upp = eval_exact(bench, x0)
-        assert um == -up_ and upm == upp
+        assert bench.u(-x0) == -bench.u(x0) and bench.uprime(-x0) == bench.uprime(x0)
     a = bench.a
     xs = np.array([0.0, a, -a, 1.0, -1.0, 0.3, -0.007, 0.5 * a, -1e-7, 0.94])
     us = bench.u(xs)

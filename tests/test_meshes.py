@@ -71,16 +71,6 @@ def test_sizes_sum_to_measure():
     assert abs(np.sum(m.element_sizes) - 5.0) < 1e-15
 
 
-def test_serialization_roundtrip():
-    m = Mesh1D(np.array([-1.0, -0.5, 0.0, 0.5, 1.0]), "both")
-    text = m.to_text()
-    assert text.startswith("nodes=-1,-0.5,0,0.5,1")
-    back = Mesh1D.from_text(text)
-    assert np.array_equal(back.nodes, m.nodes) and back.dirichlet == "both"
-    m2 = Mesh1D.from_text("nodes=0,0.5,1 dirichlet=left")
-    assert m2.dirichlet == "left"
-
-
 def test_element_lookup_sides():
     m = uniform_mesh(0, 1, 4)
     assert m.element_of(0.5, "left") == 1

@@ -182,18 +182,18 @@ def test_band_solve_rejects_indefinite_and_non_finite():
         broken = ab.copy()
         broken[0, 3] = bad
         with pytest.raises(np.linalg.LinAlgError):
-            _band_solve(broken, np.ones(6))
+            _band_solve(broken, np.ones(6), (1, 0))
     broken = ab.copy()
     broken[1, 2] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
-        _band_solve(broken, np.ones(6))
+        _band_solve(broken, np.ones(6), (1, 0))
     # tridiagonal (0.9, 1, 0.9) on 7 rows: every diagonal entry, and so every
     # pivot of the first level, is 1, but the matrix is indefinite; its first
     # negative pivot is 1 - 2 * 0.81 in the second level
     indefinite = np.vstack((np.ones(7), np.full(7, 0.9)))
     assert np.linalg.eigvalsh(np.eye(7) + 0.9 * (np.eye(7, k=1) + np.eye(7, k=-1)))[0] < 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        _band_solve(indefinite, np.ones(7))
+        _band_solve(indefinite, np.ones(7), (1, 0))
 
 
 def test_band_solve_rejects_a_bad_diagonal_in_a_level_and_in_the_tail():
@@ -210,7 +210,7 @@ def test_band_solve_rejects_a_bad_diagonal_in_a_level_and_in_the_tail():
     dg = discrete_assembly(dg_spec(paper1d(), benchmark_mesh(400)), 1)
     t = dg.residual(rng.normal(scale=1e5, size=dg.ndof))
     kacanov = dg.hess(dg.weights(t, 1e-3 * np.max(np.abs(t))))
-    for ab, blocks, level, tail in ((ab, None, 3 * 4 + 1, 3 * 63 + 1),
+    for ab, blocks, level, tail in ((ab, (3, 0), 3 * 4 + 1, 3 * 63 + 1),
                                     (kacanov, dg.band_blocks, 7, 509)):
         rhs = np.ones(ab.shape[1])
         assert np.all(np.isfinite(_band_solve(ab, rhs, blocks)))
@@ -338,7 +338,8 @@ def test_duality_gap_bounds_the_energy_above_its_minimum(method):
             t = asm.residual(x)
             c = asm.weights(t, eps, newton)
             dx = np.zeros(n)
-            dx[free] = _band_solve(asm.hess(c)[:, free], -asm.value_and_grad(x)[1][free])
+            dx[free] = _band_solve(asm.hess(c)[:, free], -asm.value_and_grad(x)[1][free],
+                                   asm.band_blocks)
             y = asm.dual_point(t, c, dx)
             assert np.max(np.abs((asm.AT @ y)[free])) <= 1e-10 * np.max(np.abs(y))
             return asm.duality_gap(t, y)
