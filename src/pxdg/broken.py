@@ -134,12 +134,10 @@ def interpolate(mesh, degree, fn, continuous=False):
 def evaluate(u, x, side="left"):
     """Values of the element-local polynomials at a scalar or array x.
 
-    side picks the element: "left" or "right" resolves a point on a node, and
-    element indices (an int or an int array) select it directly.
+    side, "left" or "right", picks the element of a point on a node.
     """
     x = np.asarray(x, dtype=float)
-    e = u.mesh.element_of(x, side) if isinstance(side, str) else np.asarray(side)
-    x, e = np.broadcast_arrays(x, e)
+    e = np.asarray(u.mesh.element_of(x, side))
     nodes = u.mesh.nodes
     xi = 2.0 * (x - nodes[e]) / (nodes[e + 1] - nodes[e]) - 1.0
     B = _eval_matrix(u.degree, xi.ravel())
@@ -188,48 +186,25 @@ def _face_weight_values(u, p):
     return WeightedSampleSet.counting(xs), jumps(u) * hvals**expo
 
 
-def broken_seminorm(u, p, which="interior", u_D=None, points_per_element=None):
-    """Luxemburg norm of the elementwise gradient plus the weighted-jump face norm.
-
-    ``which="with_dirichlet"`` adds the boundary norm of (u - u_D) * h^{-1/p'}
-    over the Dirichlet faces; u_D maps "left"/"right" to boundary data.
-    """
-    vol, gvals = gradient_samples(u, points_per_element)
+def broken_seminorm(u, p):
+    """Luxemburg norm of the elementwise gradient plus the weighted-jump face norm."""
+    vol, gvals = gradient_samples(u)
     out = luxemburg_norm(vol, gvals, p)
     if u.mesh.n_elements > 1:
         faces, fvals = _face_weight_values(u, p)
         out += luxemburg_norm(faces, fvals, p)
-    if which == "with_dirichlet":
-        u_D = u_D or {}
-        xs, vals = [], []
-        hb = u.mesh.boundary_face_sizes
-        if u.mesh.dirichlet_left:
-            x = u.mesh.x_left
-            vals.append((u.coeffs[0, 0] - u_D.get("left", 0.0))
-                        * hb[0] ** p.neg_inv_conjugate(x))
-            xs.append(x)
-        if u.mesh.dirichlet_right:
-            x = u.mesh.x_right
-            vals.append((u.coeffs[-1, -1] - u_D.get("right", 0.0))
-                        * hb[1] ** p.neg_inv_conjugate(x))
-            xs.append(x)
-        if xs:
-            out += luxemburg_norm(WeightedSampleSet.counting(xs), np.asarray(vals), p)
-    elif which != "interior":
-        raise ValueError("which must be 'interior' or 'with_dirichlet'")
     return out
 
 
-def total_variation(u, points_per_element=None):
+def total_variation(u):
     """|Du|(Omega) for the broken function: integral of |grad u| plus summed |jumps|."""
-    vol, gvals = gradient_samples(u, points_per_element or (u.degree + 3))
+    vol, gvals = gradient_samples(u, u.degree + 3)
     return float(np.sum(vol.weights * np.abs(gvals))) + float(np.sum(np.abs(jumps(u))))
 
 
-def inverse_estimate_check(u, p, q, points_per_element=None):
+def inverse_estimate_check(u, p, q):
     """Per-element ratios ||u||_p / (h^{1/p_+ - 1/q_-} ||u||_q); elements with u = 0 skipped."""
-    g = points_per_element or (u.degree + 2)
-    gx, gw = gauss_legendre(g)
+    gx, gw = gauss_legendre(u.degree + 2)
     xq, wq = composite_points(u.mesh.nodes, gx, gw)
     vals = u.values_at_ref(gx)
     h = u.mesh.element_sizes

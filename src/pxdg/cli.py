@@ -98,7 +98,7 @@ def _build_parser():
 
 def _apply_config_file(args, argv, parser):
     """Fill args from the --config file; each value is converted by the type of
-    the subcommand parser's action for that key."""
+    the subcommand parser's action for that key and checked against its choices."""
     if not getattr(args, "config", None):
         return args
     overrides = {key.replace("-", "_"): val for key, val in key_value_pairs(args.config)}
@@ -109,14 +109,15 @@ def _apply_config_file(args, argv, parser):
         if key in argv_keys or key not in actions:
             continue  # flags win; unknown keys are ignored
         action = actions[key]
-        if isinstance(action.default, bool):
-            val = val.lower() in ("1", "true", "on", "yes")
-        elif action.type is not None:
+        if action.type is not None:
             try:
                 val = action.type(val)
             except ValueError:
                 raise ValueError(f"{key} = {val!r} in {args.config} is not "
                                  f"a valid {action.type.__name__}") from None
+        if action.choices is not None and val not in action.choices:
+            raise ValueError(f"{key} = {val!r} in {args.config} is not one of "
+                             f"{list(action.choices)}")
         setattr(args, key, val)
     return args
 

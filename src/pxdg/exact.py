@@ -42,13 +42,7 @@ class ExactSolution:
         """Integral of C^{1/t} dt from eps to tau, for an array tau in [eps, 1]."""
         edges, prefix = self._tau_edges, self._prefix
         i = np.clip(np.searchsorted(edges, tau, side="right") - 1, 0, edges.size - 2)
-        gx, gw = gauss_legendre(20)
-        lo = edges[i]
-        mid = 0.5 * (lo + tau)
-        half = 0.5 * (tau - lo)
-        c = math.log(self.C)
-        partial = half * np.sum(gw * np.exp(c / (mid[:, None] + half[:, None] * gx)), axis=1)
-        return prefix[i] + partial
+        return prefix[i] + _panel_integrals(edges[i], tau, math.log(self.C))
 
     def u(self, x):
         scalar = np.isscalar(x)
@@ -81,36 +75,39 @@ def _check_domain(x):
         raise ValueError("exact solution is defined on [-1, 1]")
 
 
+def _panel_integrals(lo, hi, c):
+    """Integral of exp(c/t) dt over each panel [lo, hi], by 20-point Gauss-Legendre."""
+    gx, gw = gauss_legendre(20)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return half * np.sum(gw * np.exp(c / (mid[:, None] + half[:, None] * gx)), axis=1)
+
+
 def _panel_table(eps, C, n_panels):
     edges = np.geomspace(eps, 1.0, n_panels + 1)
-    gx, gw = gauss_legendre(20)
-    c = math.log(C)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfs = 0.5 * np.diff(edges)
-    vals = halfs * np.sum(gw[None, :] * np.exp(c / (mids[:, None] + halfs[:, None] * gx[None, :])),
-                          axis=1)
+    vals = _panel_integrals(edges[:-1], edges[1:], math.log(C))
     prefix = np.concatenate([[0.0], np.cumsum(vals)])
     return edges, prefix
 
 
-def build_exact(eps, a, C, rtol=1e-12):
+def build_exact(eps, a, C):
     """Calibrate the benchmark solution; B is the boundary value u(1).
 
-    The inner primitive is refined geometrically until B settles to rtol.
+    The inner primitive is refined geometrically, from 64 up to 8192 panels,
+    until B settles to 1e-12 relative.  A B that overflows float64 or has not
+    settled by then is a ValueError.
     """
     if not (0.0 < eps < 1.0 and 0.0 < a < 1.0):
         raise ValueError("need 0 < eps, a < 1")
     if C <= 0.0:
         raise ValueError("the flux constant C must be positive")
-    n = 64
-    prev = None
-    while True:
-        edges, prefix = _panel_table(eps, C, n)
-        B = a / (1.0 - eps) * prefix[-1] + C * (1.0 - a)
-        if prev is not None and abs(B - prev) <= rtol * abs(B):
-            break
-        if n >= 8192:
-            break
-        prev = B
-        n *= 2
-    return ExactSolution(float(eps), float(a), float(C), float(B), edges, prefix)
+    B = None
+    for n in (64 << j for j in range(8)):
+        with np.errstate(over="ignore"):
+            edges, prefix = _panel_table(eps, C, n)
+        prev, B = B, a / (1.0 - eps) * prefix[-1] + C * (1.0 - a)
+        if not math.isfinite(B):
+            raise ValueError(f"the exact solution for eps={eps}, C={C} overflows float64")
+        if prev is not None and abs(B - prev) <= 1e-12 * abs(B):
+            return ExactSolution(float(eps), float(a), float(C), float(B), edges, prefix)
+    raise ValueError(f"the exact solution for eps={eps}, C={C} has not settled at {n} panels")

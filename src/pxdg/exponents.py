@@ -186,8 +186,9 @@ def _modular_and_slope(samples, values, k, p):
     return rho, drho
 
 
-def luxemburg_norm(samples, values, fld, rtol=1e-12):
-    """inf{k > 0 : modular(u/k) <= 1}, by bracketing + bisection with Newton polish.
+def luxemburg_norm(samples, values, fld):
+    """inf{k > 0 : modular(u/k) <= 1}, by bracketing + bisection to 1e-12 relative
+    with Newton polish.
 
     k -> modular(u/k) is continuous and strictly decreasing while positive, so the
     root of modular(u/k) = 1 is simple. Returns 0 for the zero function.
@@ -217,7 +218,7 @@ def luxemburg_norm(samples, values, fld, rtol=1e-12):
             break
         hi *= 2.0
     for _ in range(200):
-        if hi - lo <= rtol * hi:
+        if hi - lo <= 1e-12 * hi:
             break
         mid = 0.5 * (lo + hi)
         if _modular_and_slope(samples, values, mid, p)[0] > 1.0:
@@ -286,8 +287,8 @@ def check_modular_norm_relations(samples, values, fld, slack=1e-9):
     return ModularNormReport(lam, rho, item1, item2, item3, worst)
 
 
-def log_holder_bound(fld, alpha, interval, n_samples=513):
-    """max over sampled x, y in the interval of h^{alpha (p(x)-p(y))}, h = diam.
+def log_holder_bound(fld, alpha, interval):
+    """max over 513 sampled x, y in the interval of h^{alpha (p(x)-p(y))}, h = diam.
 
     Bounded uniformly in h for log-Holder fields; grows like h^{-alpha*gap} across
     a jump of size gap.
@@ -295,7 +296,7 @@ def log_holder_bound(fld, alpha, interval, n_samples=513):
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     a, b = interval
-    xs = np.linspace(a, b, n_samples)
+    xs = np.linspace(a, b, 513)
     if fld.kind == "pwl":
         inside = [x for x in fld.xs if a < x < b]
         if inside:

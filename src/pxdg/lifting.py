@@ -77,7 +77,7 @@ def lift(u, cfg=None):
     return BrokenFunction(u.mesh, l, coeffs)
 
 
-def verify_weak_identity(u, R, cfg=None):
+def verify_weak_identity(u, R):
     """Max residual of the defining identity over every element-local test polynomial.
 
     For each basis function phi of the image space, computes
@@ -102,14 +102,14 @@ def verify_weak_identity(u, R, cfg=None):
     return worst
 
 
-def lifting_bound_ratio(u, p, cfg=None, points_per_element=None):
-    """||R(u)||_{p} divided by the weighted-jump face norm ||h^{-1/p'} [u]||_{p}."""
+def lifting_bound_ratio(u, p):
+    """||R(u)||_{p} divided by the weighted-jump face norm ||h^{-1/p'} [u]||_{p},
+    with R(u) of the degree of u."""
     J = jumps(u)
     if not np.any(J != 0.0):
         raise ZeroJumpsError("all jumps vanish; the bound ratio is undefined")
-    R = lift(u, cfg)
-    g = points_per_element or (R.degree + 2)
-    vol, gx = volume_samples(u.mesh, g)
+    R = lift(u)
+    vol, gx = volume_samples(u.mesh, R.degree + 2)
     num = luxemburg_norm(vol, R.values_at_ref(gx).ravel(), p)
     faces, fvals = _face_weight_values(u, p)
     den = luxemburg_norm(faces, fvals, p)

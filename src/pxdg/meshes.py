@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Mesh1D", "uniform_mesh", "refine", "face_neighborhoods"]
+__all__ = ["Mesh1D", "uniform_mesh", "refine"]
 
 _TAGS = ("both", "left", "right", "none")
 
@@ -113,24 +113,3 @@ def refine(mesh):
     out[1::2] = mids
     return Mesh1D(out, mesh.dirichlet)
 
-
-@dataclass(frozen=True)
-class Neighborhoods:
-    """Element-index patches: node_patches[z] = T_z, element_patches[k] = T_kappa."""
-
-    node_patches: tuple
-    element_patches: tuple
-
-
-def face_neighborhoods(mesh):
-    """T_z per node (adjacent elements) and T_kappa per element (node-neighbors)."""
-    ne = mesh.n_elements
-    node_patches = []
-    for z in range(ne + 1):
-        patch = [i for i in (z - 1, z) if 0 <= i < ne]
-        node_patches.append(tuple(patch))
-    elem_patches = []
-    for k in range(ne):
-        patch = sorted({i for z in (k, k + 1) for i in node_patches[z]})
-        elem_patches.append(tuple(patch))
-    return Neighborhoods(tuple(node_patches), tuple(elem_patches))

@@ -98,6 +98,8 @@ class _LineSearchFailure(Exception):
 
 # Sufficient-decrease constant of the Armijo condition.
 ARMIJO_C1 = 1e-4
+# Trial steps alpha = 1, 1/2, ..., 2^-59 before a line search fails.
+ARMIJO_TRIALS = 60
 # Relative energy change below which a trial energy equals f0 to rounding.
 FLAT_RTOL = 1e-12
 # Steps in which neither the energy falls beyond FLAT_RTOL nor max|g| halves,
@@ -105,7 +107,7 @@ FLAT_RTOL = 1e-12
 STALL_ITERS = 20
 
 
-def _armijo_search(fg, x, p, f0, dphi0, max_iter=60):
+def _armijo_search(fg, x, p, f0, dphi0):
     """Backtracking step along p: the first of alpha = 1, 1/2, 1/4, ... with
     ``f <= f0 + ARMIJO_C1 alpha dphi0``; returns (alpha, f, g).
 
@@ -115,7 +117,7 @@ def _armijo_search(fg, x, p, f0, dphi0, max_iter=60):
     2005), ``g p <= (2 c1 - 1) dphi0``.
     """
     alpha = 1.0
-    for _ in range(max_iter):
+    for _ in range(ARMIJO_TRIALS):
         f, g = fg(x + alpha * p)
         if abs(f - f0) <= FLAT_RTOL * abs(f0):
             if g @ p <= (2.0 * ARMIJO_C1 - 1.0) * dphi0:

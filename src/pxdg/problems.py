@@ -70,30 +70,32 @@ def reference_energy(problem):
     return 2.0 * problem.C * problem.B
 
 
-def _error_partition(mesh, layer_halfwidth, x_center=0.0, levels=18):
-    """Mesh nodes plus a geometric zoom toward the layer; keeps quadrature honest
-    when the exact derivative varies over scales far below h."""
+def _error_partition(mesh, layer_halfwidth):
+    """Mesh nodes plus a geometric zoom toward the layer at the origin, 19 levels
+    deep; keeps quadrature honest when the exact derivative varies over scales
+    far below h."""
     pts = set(float(x) for x in mesh.nodes)
     lo, hi = mesh.x_left, mesh.x_right
-    for j in range(levels + 1):
+    for j in range(19):
         d = layer_halfwidth * 2.0 ** (1 - j)
-        for s in (x_center - d, x_center + d):
+        for s in (-d, d):
             if lo < s < hi:
                 pts.add(s)
     return np.array(sorted(pts))
 
 
-def solution_errors(u_h, problem, points_per_panel=8):
+def solution_errors(u_h, problem):
     """Error metrics of a discrete solution against the exact benchmark solution.
 
     Returns a dict with the L1 error, the max nodal error (both traces at every
     node), the Luxemburg p(.)-norm error, and the gradient p(.)-norm error, all
-    integrated on a partition refined geometrically toward the origin layer.
-    Every Gauss point of that partition lies strictly inside one element.
+    integrated by 8-point Gauss on a partition refined geometrically toward the
+    origin layer.  Every Gauss point of that partition lies strictly inside one
+    element.
     """
     mesh = u_h.mesh
     layer = max(problem.a, 1e-6)
-    samples, _ = volume_samples(Mesh1D(_error_partition(mesh, layer)), points_per_panel)
+    samples, _ = volume_samples(Mesh1D(_error_partition(mesh, layer)), 8)
     xq, wq = samples.xs, samples.weights
     du = u_h(xq) - problem.exact.u(xq)
     dg = elementwise_gradient(u_h)(xq) - problem.exact.uprime(xq)
@@ -148,12 +150,15 @@ def load_problem_file(path):
     xi = opts.get("xi", "none")
     if xi not in _XI_SAMPLES:
         raise ValueError(f"unknown xi {xi!r}; expected one of {sorted(_XI_SAMPLES)}")
+    fidelity = opts.get("fidelity", "off")
+    if fidelity not in ("on", "off"):
+        raise ValueError(f"unknown fidelity {fidelity!r}; expected one of ['off', 'on']")
     out = {
         "p": ExponentField.from_text(opts["p"]),
         "q": ExponentField.from_text(opts["q"]) if "q" in opts else None,
         "r": ExponentField.from_text(opts["r"]) if "r" in opts else None,
         "dirichlet": opts.get("dirichlet", "both"),
-        "fidelity_on": opts.get("fidelity", "off") == "on",
+        "fidelity_on": fidelity == "on",
         "xi": _XI_SAMPLES[xi],
         "u_D": {},
         "domain": tuple(float(t) for t in opts.get("domain", "-1,1").split(",")),

@@ -80,11 +80,11 @@ def _random_broken(rng, mesh, degree=1, scale=1.0):
     return BrokenFunction(mesh, degree, scale * rng.normal(size=(ne, degree + 1)))
 
 
-def suite_modular(rng, n_cases=200, break_h=False):
+def suite_modular(rng, break_h=False):
     res = []
     worst = 0.0
     bad = 0
-    for _ in range(n_cases):
+    for _ in range(200):
         fld = _random_field(rng)
         s = _random_samples(rng)
         u = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=s.xs.size)
@@ -92,11 +92,11 @@ def suite_modular(rng, n_cases=200, break_h=False):
         worst = max(worst, rep.slack)
         bad += not rep.passed
     res.append(PropertyResult("modular", "unit_ball_relations", bad == 0,
-                              f"{n_cases} cases, failures={bad}"))
+                              f"200 cases, failures={bad}"))
     worst_h = 0.0
     worst_t = 0.0
     convex_ok = True
-    for _ in range(n_cases // 2):
+    for _ in range(100):
         fld = _random_field(rng)
         s = _random_samples(rng)
         u = rng.normal(size=s.xs.size)
@@ -117,9 +117,9 @@ def suite_modular(rng, n_cases=200, break_h=False):
     return res
 
 
-def suite_pointwise(rng, n_cases=300, break_h=False):
+def suite_pointwise(rng, break_h=False):
     bad = 0
-    for _ in range(n_cases):
+    for _ in range(300):
         eta = float(rng.normal(scale=3.0))
         xi = float(rng.normal(scale=3.0))
         px = float(rng.uniform(1.0, 4.0))
@@ -129,7 +129,7 @@ def suite_pointwise(rng, n_cases=300, break_h=False):
         if math.isinf(rep.c_min_power) or math.isinf(rep.c_min_degenerate):
             bad += 1
     return [PropertyResult("pointwise", "power_inequalities", bad == 0,
-                           f"{n_cases} cases, failures={bad}")]
+                           f"300 cases, failures={bad}")]
 
 
 def suite_log_holder(rng, break_h=False):
@@ -152,11 +152,11 @@ def suite_log_holder(rng, break_h=False):
     return res
 
 
-def suite_bv_bound(rng, break_h=False, levels=4):
+def suite_bv_bound(rng, break_h=False):
     p = ExponentField.hat_family(0.2, 0.3)
     mesh = uniform_mesh(-1.0, 1.0, 8)
     consts = []
-    for _ in range(levels):
+    for _ in range(4):
         worst = 0.0
         for _ in range(12):
             u = _random_broken(rng, mesh)
@@ -168,15 +168,15 @@ def suite_bv_bound(rng, break_h=False, levels=4):
         mesh = refine(mesh)
     spread = max(consts) / min(consts)
     return [PropertyResult("bv_bound", "total_variation_vs_seminorm", spread <= 2.0,
-                           f"constant spread {spread:.3g} over {levels} levels")]
+                           f"constant spread {spread:.3g} over 4 levels")]
 
 
-def suite_inverse_estimate(rng, break_h=False, levels=5):
+def suite_inverse_estimate(rng, break_h=False):
     p = ExponentField.constant(1.0, domain=(0.0, 1.0))
     q = ExponentField.constant(2.0, domain=(0.0, 1.0))
     mesh = uniform_mesh(0.0, 1.0, 4)
     consts = []
-    for _ in range(levels):
+    for _ in range(5):
         worst = 0.0
         for _ in range(8):
             u = _random_broken(rng, mesh, degree=3)
@@ -185,10 +185,10 @@ def suite_inverse_estimate(rng, break_h=False, levels=5):
         mesh = refine(mesh)
     spread = max(consts) / min(consts)
     return [PropertyResult("inverse_estimate", "ratio_stable", spread <= 2.0,
-                           f"max-ratio spread {spread:.3g} over {levels} levels")]
+                           f"max-ratio spread {spread:.3g} over 5 levels")]
 
 
-def suite_lifting(rng, break_h=False, levels=5):
+def suite_lifting(rng, break_h=False):
     res = []
     mesh_cls = _BrokenHMesh if break_h else Mesh1D
     base = mesh_cls(np.linspace(-1.0, 1.0, 9))
@@ -221,7 +221,7 @@ def suite_lifting(rng, break_h=False, levels=5):
     p = ExponentField.hat_family(0.3, 0.4)
     mesh = mesh_cls(np.linspace(-1.0, 1.0, 9))
     ratios = []
-    for _ in range(levels):
+    for _ in range(5):
         worst = 0.0
         for _ in range(10):
             u = _random_broken(rng, mesh)
@@ -230,7 +230,7 @@ def suite_lifting(rng, break_h=False, levels=5):
         mesh = mesh_cls(refine(mesh).nodes)
     spread = max(ratios) / min(ratios)
     res.append(PropertyResult("lifting", "bound_ratio_stable", spread <= 2.0,
-                              f"max-ratio spread {spread:.3g} over {levels} levels"))
+                              f"max-ratio spread {spread:.3g} over 5 levels"))
     return res
 
 
@@ -268,14 +268,14 @@ def suite_reconstruction(rng, break_h=False):
     return res
 
 
-def suite_broken_poincare(rng, break_h=False, levels=4, n_cases=50):
+def suite_broken_poincare(rng, break_h=False):
     p = ExponentField.hat_family(0.01, 0.01)
     mesh = uniform_mesh(-1.0, 1.0, 8)
     maxima = []
-    for _ in range(levels):
+    for _ in range(4):
         worst = 0.0
         vol, gx = volume_samples(mesh, 4)
-        for _ in range(n_cases):
+        for _ in range(50):
             u = _random_broken(rng, mesh)
             vals = u.values_at_ref(gx).ravel()
             mean = float(np.sum(vol.weights * vals)) / vol.total_weight
@@ -290,21 +290,21 @@ def suite_broken_poincare(rng, break_h=False, levels=4, n_cases=50):
                            f"levels {['%.3g' % m for m in maxima]}, worst growth {growth:.3g}")]
 
 
-def suite_coercivity(rng, break_h=False, n_cases=25):
+def suite_coercivity(rng, break_h=False):
     prob = paper1d()
     mesh = uniform_mesh(-1.0, 1.0, 10)
     spec = FunctionalSpec(mesh, prob.p, u_D=dict(prob.u_D), quadrature=("trapezoid", 1))
     bad = 0
-    for _ in range(n_cases):
+    for _ in range(25):
         u = _random_broken(rng, mesh, scale=10.0 ** rng.uniform(0, 6))
         lhs, rhs = coercivity_certificate(u, spec)
         if lhs > rhs * (1.0 + 1e-12):
             bad += 1
     return [PropertyResult("coercivity", "energy_bounds_gradient", bad == 0,
-                           f"{n_cases} cases, failures={bad}")]
+                           f"25 cases, failures={bad}")]
 
 
-def suite_consistency(rng, break_h=False, levels=5):
+def suite_consistency(rng, break_h=False):
     """Interpolate-then-average a smooth candidate: its boundary penalty decays
     like h and its discrete energy approaches the continuum value."""
     prob = paper1d()
@@ -312,7 +312,7 @@ def suite_consistency(rng, break_h=False, levels=5):
     target = _linear_energy(prob)
     mesh = uniform_mesh(-1.0, 1.0, 10)
     pens, gaps, hs = [], [], []
-    for _ in range(levels):
+    for _ in range(5):
         spec = FunctionalSpec(mesh, prob.p, u_D=dict(prob.u_D), quadrature=("gauss", 6))
         vh = reconstruct(interpolate(mesh, 1, v, continuous=True))
         bd = eval_discrete(vh, spec)

@@ -46,9 +46,6 @@ def test_evaluate_examples():
             assert vals.shape == xs.shape
             assert np.array_equal(vals, [evaluate(f, x, side) for x in xs])
         assert np.array_equal(f(xs.reshape(2, 3)), evaluate(f, xs).reshape(2, 3))
-    elems = np.array([0, 0, 0, 0, 1, 1])  # the node 0.5 read from the left element
-    assert np.array_equal(evaluate(s, xs, elems), [evaluate(s, x, int(e)) for x, e in zip(xs, elems)])
-    assert np.array_equal(evaluate(s, xs, elems), [1.0, 1.0, 1.0, 1.0, 3.0, 3.0])
 
 
 def test_gradient_examples():
@@ -109,17 +106,6 @@ def test_seminorm_continuous_equals_gradient_norm():
 
     vol, gvals = gradient_samples(u)
     assert broken_seminorm(u, P2) == luxemburg_norm(vol, gvals, P2)
-
-
-def test_seminorm_dirichlet_variant():
-    two = uniform_mesh(0, 1, 2, "both")
-    s = step_function(two, 0.0, 1.0)
-    base = broken_seminorm(s, P2)
-    withd = broken_seminorm(s, P2, which="with_dirichlet", u_D={"left": 0.0, "right": 2.0})
-    # boundary mismatch (0,-1) under counting measure with h^{-1/2} weight
-    assert withd > base
-    exact_bdry = np.sqrt(2.0)  # |1 - 2| * 0.5^{-1/2}
-    assert withd == pytest.approx(base + exact_bdry, rel=1e-12)
 
 
 def test_total_variation_example():

@@ -87,11 +87,19 @@ def test_convergence_footer_and_single_row(tmp_path):
     assert "# order" not in text2  # no footer for a single row
 
 
-def test_exact_command(tmp_path):
+def test_exact_command(tmp_path, capsys):
     out = str(tmp_path / "exact.csv")
     assert main(["exact", "--samples", "11", "--out", out]) == 0
     lines = open(out).read().strip().split("\n")
     assert lines[0] == "x,u,uprime" and len(lines) == 12
+    # B overflows float64 at this dip: no table, and no solve on it either
+    capsys.readouterr()
+    bad = str(tmp_path / "bad.csv")
+    assert main(["exact", "--eps", "1e-4", "--out", bad]) == 3
+    assert main(["solve", "--n", "4", "--eps", "1e-4", "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(e.startswith("config error") and "overflows" in e for e in err)
+    assert not os.path.exists(bad)
 
 
 def test_properties_exit_codes(tmp_path):
@@ -126,8 +134,10 @@ def test_unknown_problem_is_config_error(tmp_path, capsys):
     bad_xi.write_text("p = kind=const value=2\nxi = bogus\n")
     no_a = tmp_path / "no_a.spec"
     no_a.write_text("p = kind=hat eps=0.01\n")
+    bad_fidelity = tmp_path / "bad_fidelity.spec"
+    bad_fidelity.write_text("p = kind=const value=2\nfidelity = yes\n")
     for problem, named in (("wat", "'wat'"), (f"custom:{bad_xi}", "'bogus'"),
-                           (f"custom:{no_a}", "'a'")):
+                           (f"custom:{no_a}", "'a'"), (f"custom:{bad_fidelity}", "'yes'")):
         assert main(["solve", "--method", "dg", "--n", "4",
                      "--problem", problem, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
@@ -199,6 +209,19 @@ def test_unparsable_config_value_is_config_error(tmp_path, const2_spec, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("config error") and "max_iters" in err and "'abc'" in err
+
+
+def test_config_value_outside_the_flag_choices_is_config_error(tmp_path, const2_spec, capsys):
+    for line, named in (("method = fem", "'fem'"), ("plot = png", "'png'")):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"problem = custom:{const2_spec}\n{line}\n")
+        code = main(["solve", "--n", "4", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "run")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and line.split()[0] in err and named in err
+        assert ("'dg', 'cg'" if "method" in line else "'svg'") in err
+        assert not os.path.exists(tmp_path / "run")
 
 
 def test_convergence_custom_problem_order(tmp_path, const2_spec):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from pxdg import exact
 from pxdg.exact import build_exact
 
 
@@ -83,6 +84,16 @@ def test_invalid_parameters():
         build_exact(0.01, 0.01, -1.0)
     with pytest.raises(ValueError):
         build_exact(1.5, 0.01, 1.3)
+
+
+def test_b_that_overflows_or_does_not_settle_is_rejected(monkeypatch):
+    with pytest.raises(ValueError, match="overflows float64"):
+        build_exact(1e-4, 0.01, 1.3)
+    # a primitive that changes with every doubling never settles
+    monkeypatch.setattr(exact, "_panel_table",
+                        lambda eps, C, n: (np.linspace(eps, 1.0, n + 1), np.linspace(0.0, n, n + 1)))
+    with pytest.raises(ValueError, match="not settled at 8192 panels"):
+        build_exact(0.01, 0.01, 1.3)
 
 
 def test_csv_output(bench):

@@ -34,15 +34,15 @@ def test_two_element_worked_example():
     R = lift(u, LiftingConfig(1))
     # R = 3x - 1 on [0,1] and 5 - 3x on [1,2]
     for x, want in ((0.0, -1.0), (0.5, 0.5), (1.0, 2.0)):
-        assert evaluate(R, x, 0) == pytest.approx(want, abs=1e-13)
+        assert evaluate(R, x, "left") == pytest.approx(want, abs=1e-13)
     for x, want in ((1.0, 2.0), (1.5, 0.5), (2.0, -1.0)):
-        assert evaluate(R, x, 1) == pytest.approx(want, abs=1e-13)
+        assert evaluate(R, x, "right") == pytest.approx(want, abs=1e-13)
     # integral of R equals minus the jump times the unit average
     gx = np.polynomial.legendre.leggauss(4)
     total = 0.0
     for e in range(2):
         xs = 0.5 * (gx[0] + 1.0) + e
-        total += 0.5 * np.sum(gx[1] * [evaluate(R, x, e) for x in xs])
+        total += 0.5 * np.sum(gx[1] * evaluate(R, xs))
     assert total == pytest.approx(1.0, abs=1e-13)
     assert verify_weak_identity(u, R) <= 1e-13
 
@@ -79,11 +79,11 @@ def test_weak_identity_random_inputs():
 
 def test_bound_ratio_worked_example():
     u = two_element_example()
-    got = lifting_bound_ratio(u, P2, LiftingConfig(1))
+    got = lifting_bound_ratio(u, P2)
     # numerator sqrt(int (3x-1)^2 + int (5-3x)^2) = sqrt 2, denominator 1
     assert got == pytest.approx(np.sqrt(2.0), rel=1e-12)
     scaled = BrokenFunction(u.mesh, 1, 37.5 * u.coeffs)
-    assert lifting_bound_ratio(scaled, P2, LiftingConfig(1)) == pytest.approx(got, rel=1e-11)
+    assert lifting_bound_ratio(scaled, P2) == pytest.approx(got, rel=1e-11)
 
 
 def test_bound_ratio_requires_jumps():

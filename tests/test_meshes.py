@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pxdg.meshes import Mesh1D, face_neighborhoods, refine, uniform_mesh
+from pxdg.meshes import Mesh1D, refine, uniform_mesh
 
 
 def test_uniform_examples():
@@ -42,28 +42,6 @@ def test_face_size_comparability():
     for i, fh in enumerate(hf):
         for hk in (h[i], h[i + 1]):
             assert 0.5 * hk <= fh <= 2.0 * hk
-
-
-def test_neighborhood_examples():
-    m = uniform_mesh(-1, 1, 4)
-    nh = face_neighborhoods(m)
-    assert nh.node_patches[2] == (1, 2)      # z = 0 touches [-.5,0], [0,.5]
-    assert nh.node_patches[0] == (0,)        # z = -1
-    assert nh.element_patches[2] == (1, 2, 3)  # kappa = [0,.5]
-
-
-def test_neighborhood_cardinalities_and_sizes():
-    m = Mesh1D(np.array([0.0, 0.2, 0.25, 0.6, 1.0]))
-    nh = face_neighborhoods(m)
-    h = m.element_sizes
-    for z, patch in enumerate(nh.node_patches):
-        assert 1 <= len(patch) <= 2
-        hz = sum(h[i] for i in patch)
-        assert hz <= 2.0 * max(h[i] for i in patch)
-    for k, patch in enumerate(nh.element_patches):
-        assert len(patch) <= 3
-        diam = sum(h[i] for i in patch)
-        assert diam <= 3.0 * max(h[min(k + 1, len(h) - 1)], h[max(k - 1, 0)], h[k])
 
 
 def test_sizes_sum_to_measure():

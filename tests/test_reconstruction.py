@@ -3,8 +3,9 @@ import pytest
 
 from pxdg.broken import BrokenFunction, embed_refine, interpolate
 from pxdg.exponents import ExponentField
-from pxdg.meshes import uniform_mesh
+from pxdg.meshes import Mesh1D, uniform_mesh
 from pxdg.reconstruction import (
+    local_seminorm,
     mean_bound_check,
     node_projections,
     reconstruct,
@@ -22,6 +23,36 @@ def test_project_node_examples():
     assert node_projections(u)[1] == pytest.approx(0.5, abs=1e-15)
     s = BrokenFunction(m, 1, np.array([[0.0, 0.0], [1.0, 1.0]]))
     assert node_projections(s)[1] == pytest.approx(0.5, abs=1e-15)
+
+
+# a non-uniform mesh of 5 elements, sizes 0.2, 0.05, 0.35, 0.4, 0.1
+UNEVEN = Mesh1D(np.array([0.0, 0.2, 0.25, 0.6, 1.0, 1.1]))
+
+
+def test_node_projections_average_the_adjacent_elements():
+    # elementwise constants 1, 2, 4, 8, 16: an end node takes its one element's
+    # value, an interior node the h-weighted mean of its two elements
+    c = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+    u = BrokenFunction(UNEVEN, 1, np.column_stack([c, c]))
+    h = UNEVEN.element_sizes
+    want = [1.0] + [(h[i] * c[i] + h[i + 1] * c[i + 1]) / (h[i] + h[i + 1])
+                    for i in range(4)] + [16.0]
+    assert np.allclose(node_projections(u), want, rtol=1e-15, atol=0)
+    assert node_projections(u)[0] == 1.0 and node_projections(u)[-1] == 16.0
+
+
+def test_local_seminorm_reads_the_element_its_neighbours_and_their_faces():
+    # a unit jump at x = 0.6 (the face between elements 2 and 3) lies on the
+    # patches of elements 1..4; element 0's patch {0, 1} does not reach it
+    step = BrokenFunction(UNEVEN, 1, np.repeat([[0.0], [0.0], [0.0], [1.0], [1.0]], 2, axis=1))
+    w = (0.5 * (0.35 + 0.4)) ** -0.5
+    got = [local_seminorm(step, P2, e) for e in range(5)]
+    assert got[0] == 0.0 and got[1:] == pytest.approx([w] * 4, rel=1e-14)
+    # a unit slope on the end element 4 only: on the patches of elements 3 and 4
+    ramp = BrokenFunction(UNEVEN, 1, np.zeros((5, 2)))
+    ramp.coeffs[4, 1] = 0.1
+    got = [local_seminorm(ramp, P2, e) for e in range(5)]
+    assert got[:3] == [0.0] * 3 and got[3:] == pytest.approx([np.sqrt(0.1)] * 2, rel=1e-12)
 
 
 def test_reconstruct_examples():
@@ -85,8 +116,6 @@ def test_gradient_stability_within_factor_two():
 
 def test_boundary_deviation_scaling():
     # |(u - Q u)(1)| against h^{1 - 1/p} times the boundary-patch seminorm
-    from pxdg.reconstruction import local_seminorm
-
     base = uniform_mesh(0, 1, 10)
     u = interpolate(base, 1, lambda x: np.sin(np.pi * x))
     consts = []
