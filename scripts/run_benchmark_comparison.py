@@ -19,7 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from pxdg.cli import main as pxdg_main
 from pxdg.optimize import solve_cg
 from pxdg.problems import benchmark_mesh, cg_spec, paper1d, solution_errors
-from pxdg.reports import fmt, write_atomic
+from pxdg.reports import csv_text, write_atomic
 from pxdg.svg import LineChart
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "results", "comparison")
@@ -30,7 +30,7 @@ def cg_resolution_figure():
     chart = LineChart(title="conforming method vs exact solution")
     gx = np.linspace(-1, 1, 801)
     chart.add_series(gx, prob.exact.u(gx), "exact")
-    rows = ["intervals,l1,max_nodal"]
+    rows = []
     for n in (300, 400):
         rep = solve_cg(cg_spec(prob, benchmark_mesh(n)), 1)
         u = rep.solution
@@ -38,14 +38,14 @@ def cg_resolution_figure():
         vals = np.concatenate([u.coeffs[:, 0], [u.coeffs[-1, -1]]])
         chart.add_series(nodes, vals, f"cg {n} intervals")
         e = solution_errors(u, prob)
-        rows.append(f"{n},{fmt(e['l1'])},{fmt(e['max_nodal'])}")
+        rows.append((n, e["l1"], e["max_nodal"]))
+    csv = csv_text(("intervals", "l1", "max_nodal"), rows)
     write_atomic(os.path.join(OUT, "cg_resolution.svg"), chart.render())
-    write_atomic(os.path.join(OUT, "cg_resolution.csv"), "\n".join(rows) + "\n")
-    print("\n".join(rows))
+    write_atomic(os.path.join(OUT, "cg_resolution.csv"), csv)
+    print(csv, end="")
 
 
 if __name__ == "__main__":
-    os.makedirs(OUT, exist_ok=True)
     code = pxdg_main(["compare", "--n", "41", "--out", OUT, "--plot", "svg"])
     cg_resolution_figure()
     sys.exit(code)

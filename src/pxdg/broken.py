@@ -6,7 +6,6 @@ left-minus-right: [u](x_e) = u^-(x_e) - u^+(x_e).
 """
 
 import functools
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,7 @@ from .quadrature import composite_points, gauss_legendre, gauss_lobatto_nodes
 
 __all__ = [
     "BrokenFunction",
+    "dof_points",
     "interpolate",
     "elementwise_gradient",
     "jumps",
@@ -105,27 +105,19 @@ class BrokenFunction:
     def __call__(self, x, side="left"):
         return evaluate(self, x, side)
 
-    def to_csv(self):
-        t, _, _ = _basis(self.degree)
-        nodes = self.mesh.nodes
-        buf = io.StringIO()
-        buf.write("element,local_node,x,value\n")
-        for e in range(self.mesh.n_elements):
-            mid = 0.5 * (nodes[e] + nodes[e + 1])
-            half = 0.5 * (nodes[e + 1] - nodes[e])
-            for j, tj in enumerate(t):
-                buf.write(f"{e},{j},{mid + half * tj:.17g},{self.coeffs[e, j]:.17g}\n")
-        return buf.getvalue()
 
-
-def interpolate(mesh, degree, fn, continuous=False):
-    """Nodal interpolant of a callable at the element-local Gauss-Lobatto nodes."""
+def dof_points(mesh, degree):
+    """Positions of every element's degree+1 Gauss-Lobatto nodes; shape (ne, degree + 1)."""
     t, _, _ = _basis(degree)
     nodes = mesh.nodes
     mid = 0.5 * (nodes[:-1] + nodes[1:])
     half = 0.5 * np.diff(nodes)
-    x = mid[:, None] + half[:, None] * t[None, :]
-    vals = np.asarray(fn(x), dtype=float)
+    return mid[:, None] + half[:, None] * t[None, :]
+
+
+def interpolate(mesh, degree, fn, continuous=False):
+    """Nodal interpolant of a callable at the element-local Gauss-Lobatto nodes."""
+    vals = np.asarray(fn(dof_points(mesh, degree)), dtype=float)
     if continuous:
         vals[1:, 0] = vals[:-1, -1]
     return BrokenFunction(mesh, degree, vals, continuous)

@@ -1,9 +1,10 @@
 """pxdg command line: solve | convergence | compare | exact | properties.
 
 Options can come from a line-oriented key=value config file (--config); flags
-win over file entries.  Exit codes: 0 success, 1 solver non-convergence (or a
-solve that diverged, reported as "solve error"), 2 property failure,
-3 configuration error.
+win over file entries, and a flag is only taken spelled out in full.  Exit
+codes: 0 success, 1 solver non-convergence (or a solve that diverged, reported
+as "solve error"), 2 property failure, 3 configuration error (a usage error
+included).  Every table goes through ``reports.csv_text``.
 """
 
 import argparse
@@ -12,10 +13,9 @@ import sys
 
 import numpy as np
 
-from .broken import broken_seminorm, volume_samples
+from .broken import broken_seminorm, dof_points, volume_samples
 from .exact import build_exact
 from .exponents import WeightedSampleSet, luxemburg_norm
-from .functional import TermBreakdown
 from .lifting import lift
 from .meshes import uniform_mesh
 from .optimize import BfgsConfig, solve_cg, solve_dg
@@ -31,7 +31,7 @@ from .problems import (
     solution_errors,
 )
 from .properties import SUITES, run_suites
-from .reports import ConvergenceRow, convergence_csv, fmt, write_atomic
+from .reports import convergence_csv, csv_text, write_atomic
 from .svg import LineChart
 
 EXIT_OK = 0
@@ -40,8 +40,20 @@ EXIT_PROPERTY_FAILURE = 2
 EXIT_CONFIG_ERROR = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes no abbreviated flag, which the config file would not see as given,
+    and raises a usage error as ValueError, so that it exits 3 as a config error.
+    The subcommand parsers are of the same class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    ap = argparse.ArgumentParser(prog="pxdg")
+    ap = _Parser(prog="pxdg")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -179,15 +191,22 @@ def _solution_plot(path, rep, problem=None, extra=None, title=""):
 def cmd_solve(args):
     kind, payload = _setup_problem(args)
     mesh, spec, rep = _run_one(kind, payload, args, args.method, args.n)
-    os.makedirs(args.out, exist_ok=True)
-    write_atomic(os.path.join(args.out, "solution.csv"), rep.solution.to_csv())
-    write_atomic(os.path.join(args.out, "terms.csv"),
-                 TermBreakdown.csv_header() + "\n" + rep.breakdown.csv_row() + "\n")
-    write_atomic(os.path.join(args.out, "trace.csv"), rep.trace_csv())
+    u, bd = rep.solution, rep.breakdown
+    x = dof_points(mesh, u.degree)
+    solution = ((e, j, x[e, j], u.coeffs[e, j]) for e, j in np.ndindex(x.shape))
+    write_atomic(os.path.join(args.out, "solution.csv"),
+                 csv_text(("element", "local_node", "x", "value"), solution))
+    write_atomic(os.path.join(args.out, "terms.csv"), csv_text(
+        ("grad_term", "fidelity", "dir_penalty", "int_penalty", "neumann", "total"),
+        [(bd.gradient_term, bd.fidelity_term, bd.dirichlet_penalty, bd.interior_penalty,
+          bd.neumann_term, bd.total)]))
+    write_atomic(os.path.join(args.out, "trace.csv"), csv_text(
+        ("iteration", "f", "grad_max"),
+        zip(range(len(rep.f_history)), rep.f_history, rep.grad_norm_history)))
     if kind == "paper1d":
-        errs = solution_errors(rep.solution, payload)
-        lines = ["metric,value"] + [f"{k},{fmt(v)}" for k, v in errs.items()]
-        write_atomic(os.path.join(args.out, "errors.csv"), "\n".join(lines) + "\n")
+        errs = solution_errors(u, payload)
+        write_atomic(os.path.join(args.out, "errors.csv"),
+                     csv_text(("metric", "value"), errs.items()))
     if args.plot == "svg":
         _solution_plot(os.path.join(args.out, "solution.svg"), rep,
                        payload if kind == "paper1d" else None,
@@ -200,7 +219,7 @@ def cmd_solve(args):
     return EXIT_OK if rep.converged else EXIT_NO_CONVERGENCE
 
 
-def _convergence_row(kind, payload, args, method, n, reference=None):
+def _convergence_row(kind, payload, args, method, n, reference):
     mesh, spec, rep = _run_one(kind, payload, args, method, n)
     u = rep.solution
     if kind == "paper1d":
@@ -215,9 +234,8 @@ def _convergence_row(kind, payload, args, method, n, reference=None):
     vol, gx = volume_samples(mesh, 6)
     rnorm = luxemburg_norm(vol, R.values_at_ref(gx).ravel(), p)
     bd = rep.breakdown
-    return ConvergenceRow(mesh.n_elements, mesh.max_h, lux_err, max_nodal, semi,
-                          bd.interior_penalty, bd.dirichlet_penalty, rnorm,
-                          bd.total, rep.iterations, rep.wall_time), rep.converged
+    return (mesh.n_elements, mesh.max_h, lux_err, max_nodal, semi, bd.interior_penalty,
+            bd.dirichlet_penalty, rnorm, bd.total, rep.iterations, rep.wall_time), rep.converged
 
 
 def _reference_errors(u, reference, p):
@@ -231,25 +249,25 @@ def _reference_errors(u, reference, p):
 def cmd_convergence(args):
     kind, payload = _setup_problem(args)
     ns = [int(t) for t in args.ns.split(",") if t]
+    if not ns:
+        raise ValueError(f"--ns {args.ns!r} names no element count")
     reference = None
     if kind == "custom":
         _, _, ref_rep = _run_one(kind, payload, args, args.method, 2 * max(ns))
+        if not ref_rep.converged:
+            print(f"reference solve at n={2 * max(ns)} did not converge "
+                  f"(stop={ref_rep.stop_reason})", file=sys.stderr)
+            return EXIT_NO_CONVERGENCE
         reference = ref_rep.solution
-    rows = []
-    all_conv = True
-    for n in ns:
-        row, conv = _convergence_row(kind, payload, args, args.method, n, reference)
-        rows.append(row)
-        all_conv = all_conv and conv
-    os.makedirs(args.out, exist_ok=True)
+    rows, converged = zip(*(_convergence_row(kind, payload, args, args.method, n, reference)
+                            for n in ns))
     csv = convergence_csv(rows)
     write_atomic(os.path.join(args.out, f"convergence_{args.method}.csv"), csv)
     if kind == "paper1d":
-        iu = reference_energy(payload)
         write_atomic(os.path.join(args.out, "reference_energy.csv"),
-                     f"reference_energy\n{fmt(iu)}\n")
+                     csv_text(("reference_energy",), [(reference_energy(payload),)]))
     print(csv, end="")
-    return EXIT_OK if all_conv else EXIT_NO_CONVERGENCE
+    return EXIT_OK if all(converged) else EXIT_NO_CONVERGENCE
 
 
 def cmd_compare(args):
@@ -258,17 +276,14 @@ def cmd_compare(args):
         raise ValueError("compare needs the benchmark problem")
     mesh_dg, _, rep_dg = _run_one(kind, payload, args, "dg", args.n)
     mesh_cg, _, rep_cg = _run_one(kind, payload, args, "cg", 2 * args.n)
-    rows = ["method,n_intervals,dofs,l1,max_nodal,lux_p,energy,iterations,converged"]
-    errs = {}
+    rows = []
     for method, mesh, rep in (("dg", mesh_dg, rep_dg), ("cg", mesh_cg, rep_cg)):
         e = solution_errors(rep.solution, payload)
-        errs[method] = e
         dofs = rep.solution.n_dofs if method == "dg" else mesh.n_elements * args.k - 1
-        rows.append(
-            f"{method},{mesh.n_elements},{dofs},{fmt(e['l1'])},{fmt(e['max_nodal'])},"
-            f"{fmt(e['lux_p'])},{fmt(rep.breakdown.total)},{rep.iterations},{rep.converged}")
-    os.makedirs(args.out, exist_ok=True)
-    csv = "\n".join(rows) + "\n"
+        rows.append((method, mesh.n_elements, dofs, e["l1"], e["max_nodal"], e["lux_p"],
+                     rep.breakdown.total, rep.iterations, rep.converged))
+    csv = csv_text(("method", "n_intervals", "dofs", "l1", "max_nodal", "lux_p", "energy",
+                    "iterations", "converged"), rows)
     write_atomic(os.path.join(args.out, f"compare_n{args.n}.csv"), csv)
     if args.plot == "svg":
         _solution_plot(os.path.join(args.out, f"compare_n{args.n}.svg"), rep_dg,
@@ -281,7 +296,8 @@ def cmd_compare(args):
 
 def cmd_exact(args):
     sol = build_exact(args.eps, args.a, args.C)
-    write_atomic(args.out, sol.to_csv(args.samples))
+    xs = np.linspace(-1.0, 1.0, args.samples)
+    write_atomic(args.out, csv_text(("x", "u", "uprime"), zip(xs, sol.u(xs), sol.uprime(xs))))
     print(f"B={sol.B:.17g} uprime0={sol.uprime(0.0):.17g}")
     return EXIT_OK
 
@@ -293,15 +309,13 @@ def cmd_properties(args):
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
     results = run_suites(seed=args.seed, names=names, break_h=args.break_h)
-    lines = ["suite,name,passed,detail"]
-    ok = True
     for r in results:
-        ok = ok and r.passed
         print(("PASS" if r.passed else "FAIL"), f"{r.suite}.{r.name}", "-", r.detail)
-        lines.append(f'{r.suite},{r.name},{int(r.passed)},"{r.detail}"')
     if args.out:
-        write_atomic(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK if ok else EXIT_PROPERTY_FAILURE
+        write_atomic(args.out, csv_text(
+            ("suite", "name", "passed", "detail"),
+            [(r.suite, r.name, int(r.passed), f'"{r.detail}"') for r in results]))
+    return EXIT_OK if all(r.passed for r in results) else EXIT_PROPERTY_FAILURE
 
 
 def main(argv=None):

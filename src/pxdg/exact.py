@@ -60,15 +60,6 @@ class ExactSolution:
         """|u'|^{p-2} u' = u'^{p-1}; constant C by construction."""
         return self.uprime(x) ** self._pm1(x)
 
-    def to_csv(self, n_samples=1000):
-        xs = np.linspace(-1.0, 1.0, n_samples)
-        lines = ["x,u,uprime"]
-        us = self.u(xs)
-        ups = self.uprime(xs)
-        for x, uu, up in zip(xs, us, ups):
-            lines.append(f"{x:.17g},{uu:.17g},{up:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def _check_domain(x):
     if np.any(np.abs(np.asarray(x)) > 1.0 + 1e-12):

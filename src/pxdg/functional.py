@@ -50,7 +50,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .broken import BrokenFunction, _basis, _eval_matrix, elementwise_gradient, jumps
+from .broken import (BrokenFunction, _basis, _eval_matrix, dof_points, elementwise_gradient,
+                     jumps)
 from .lifting import LiftingConfig, lift, lift_matrix
 from .quadrature import composite_points, reference_rule
 
@@ -80,15 +81,6 @@ class TermBreakdown:
     @property
     def penalties(self):
         return self.dirichlet_penalty + self.interior_penalty
-
-    @staticmethod
-    def csv_header():
-        return "grad_term,fidelity,dir_penalty,int_penalty,neumann,total"
-
-    def csv_row(self):
-        vals = (self.gradient_term, self.fidelity_term, self.dirichlet_penalty,
-                self.interior_penalty, self.neumann_term, self.total)
-        return ",".join(f"{v:.17g}" for v in vals)
 
 
 @dataclass
@@ -236,7 +228,7 @@ class _Assembly:
         self.pq = spec.p(self.xq)
         norm = spec.normalize_by_exponent
 
-        t, _, D = _basis(degree)
+        _, _, D = _basis(degree)
         PHI = _eval_matrix(degree, rx)            # (nq, nk)
         DPHI = PHI @ D                            # derivative samples at rx
         h = mesh.element_sizes
@@ -297,7 +289,7 @@ class _Assembly:
         # the pinned DOFs are end DOFs, so the free ones are one contiguous band
         self.continuous = continuous
         self.degree = degree
-        nodes = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])[:, None] + 0.5 * h[:, None] * t
+        nodes = dof_points(mesh, degree)
         self.dof_x = nodes.ravel()
         self.pinned = {}
         ncols = self.ndof

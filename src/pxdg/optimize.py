@@ -85,12 +85,6 @@ class SolveReport:
     def converged(self):
         return self.stop_reason == "converged"
 
-    def trace_csv(self):
-        lines = ["iteration,f,grad_max"]
-        for i, (fv, gn) in enumerate(zip(self.f_history, self.grad_norm_history)):
-            lines.append(f"{i},{fv:.17g},{gn:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 class _LineSearchFailure(Exception):
     pass
@@ -439,5 +433,10 @@ def solve_dg(spec, k, cfg=None):
 
 def solve_cg(spec, k, cfg=None):
     """Minimize the conforming energy over continuous degree-k functions with
-    Dirichlet values eliminated from the optimization variables."""
+    Dirichlet values eliminated from the optimization variables.
+
+    Raises ``ValueError`` for k < 1: a degree-0 function has one value on the
+    whole domain, and it cannot take two different Dirichlet values."""
+    if k < 1:
+        raise ValueError(f"CG needs degree k >= 1, got {k}")
     return _solve(continuous_assembly(spec, k), cfg, "cg")

@@ -1,11 +1,15 @@
-"""CSV emission for solves and convergence sweeps. Floats carry 17 significant digits."""
+"""The one writer of every table the commands emit: a header line, then one line
+per row with each value through ``fmt``.  Floats carry 17 significant digits."""
 
 import math
 import os
 import tempfile
-from dataclasses import dataclass, fields
 
-__all__ = ["ConvergenceRow", "convergence_csv", "write_atomic", "fmt"]
+__all__ = ["CONVERGENCE_COLUMNS", "convergence_csv", "csv_text", "write_atomic", "fmt"]
+
+CONVERGENCE_COLUMNS = ("n", "h", "lux_error", "max_nodal_error", "broken_seminorm",
+                       "interior_penalty", "dirichlet_penalty", "lifting_norm", "energy",
+                       "iterations", "wall_time")
 
 
 def fmt(x):
@@ -14,19 +18,10 @@ def fmt(x):
     return str(x)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    h: float
-    lux_error: float
-    max_nodal_error: float
-    broken_seminorm: float
-    interior_penalty: float
-    dirichlet_penalty: float
-    lifting_norm: float
-    energy: float
-    iterations: int
-    wall_time: float
+def csv_text(header, rows, footer=()):
+    """The header's names, one line per row of values, then the footer lines."""
+    lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
+    return "\n".join(lines + list(footer)) + "\n"
 
 
 def _orders(ns, values):
@@ -41,18 +36,16 @@ def _orders(ns, values):
 
 
 def convergence_csv(rows):
-    """CSV table with one row per mesh plus an empirical-order footer."""
-    names = [f.name for f in fields(ConvergenceRow)]
-    lines = [",".join(names)]
-    for r in rows:
-        lines.append(",".join(fmt(getattr(r, name)) for name in names))
+    """One row per mesh, in ``CONVERGENCE_COLUMNS`` order, plus an empirical-order footer."""
+    footer = []
     if len(rows) >= 2:
-        ns = [r.n for r in rows]
+        ns = [r[0] for r in rows]
         for col in ("lux_error", "max_nodal_error", "interior_penalty",
                     "dirichlet_penalty", "lifting_norm"):
-            orders = _orders(ns, [getattr(r, col) for r in rows])
-            lines.append("# order[" + col + "]," + ",".join(f"{o:.4g}" for o in orders))
-    return "\n".join(lines) + "\n"
+            i = CONVERGENCE_COLUMNS.index(col)
+            orders = _orders(ns, [r[i] for r in rows])
+            footer.append("# order[" + col + "]," + ",".join(f"{o:.4g}" for o in orders))
+    return csv_text(CONVERGENCE_COLUMNS, rows, footer)
 
 
 def write_atomic(path, text):

@@ -5,6 +5,7 @@ import math
 __all__ = ["LineChart"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+WIDTH, HEIGHT = 760, 480
 
 
 def _ticks(lo, hi, target=6):
@@ -28,26 +29,23 @@ def _ticks(lo, hi, target=6):
 class LineChart:
     """Accumulates (x, y) series and renders a standalone SVG document."""
 
-    def __init__(self, width=760, height=480, title=""):
-        self.width = width
-        self.height = height
+    def __init__(self, title=""):
         self.title = title
         self.series = []
 
-    def add_series(self, xs, ys, label, color=None):
+    def add_series(self, xs, ys, label):
         pts = [(float(x), float(y)) for x, y in zip(xs, ys)
                if math.isfinite(x) and math.isfinite(y)]
         if not pts:
             raise ValueError("series has no finite points")
-        color = color or _COLORS[len(self.series) % len(_COLORS)]
-        self.series.append((pts, label, color))
+        self.series.append((pts, label, _COLORS[len(self.series) % len(_COLORS)]))
 
     def render(self):
         if not self.series:
             raise ValueError("no series to plot")
         ml, mr, mt, mb = 70, 20, 34, 44
-        iw = self.width - ml - mr
-        ih = self.height - mt - mb
+        iw = WIDTH - ml - mr
+        ih = HEIGHT - mt - mb
         xs = [x for pts, _, _ in self.series for x, _ in pts]
         ys = [y for pts, _, _ in self.series for _, y in pts]
         x0, x1 = min(xs), max(xs)
@@ -66,12 +64,12 @@ class LineChart:
             return mt + (y1 - y) / (y1 - y0) * ih
 
         out = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         ]
         if self.title:
-            out.append(f'<text x="{self.width / 2:.1f}" y="20" text-anchor="middle" '
+            out.append(f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
                        f'font-family="sans-serif" font-size="14">{self.title}</text>')
         out.append(f'<rect x="{ml}" y="{mt}" width="{iw}" height="{ih}" '
                    'fill="none" stroke="#444"/>')

@@ -156,13 +156,3 @@ def test_continuous_flag_validation():
     m = uniform_mesh(0, 1, 2)
     with pytest.raises(ValueError):
         BrokenFunction(m, 1, np.array([[0.0, 1.0], [2.0, 3.0]]), continuous=True)
-
-
-def test_csv_serialization():
-    m = uniform_mesh(0, 1, 2)
-    u = interpolate(m, 1, lambda x: x)
-    lines = u.to_csv().strip().split("\n")
-    assert lines[0] == "element,local_node,x,value"
-    assert len(lines) == 1 + 2 * 2
-    e, j, x, v = lines[1].split(",")
-    assert (int(e), int(j)) == (0, 0) and float(x) == 0.0 and float(v) == 0.0

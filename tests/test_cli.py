@@ -7,7 +7,9 @@ import xml.dom.minidom
 import pytest
 
 from pxdg import cli
+from pxdg.broken import dof_points
 from pxdg.cli import main
+from pxdg.meshes import uniform_mesh
 
 
 @pytest.fixture()
@@ -31,6 +33,31 @@ def test_solve_custom_sanity(tmp_path, const2_spec, capsys):
     newton = int(re.search(r" evals=\d+ newton=(\d+) ", line).group(1))
     assert 0 <= newton <= iters
     assert "gap=" not in line  # the gradient test converged; no gap was taken
+
+
+def _table(path):
+    header, *rows = open(path).read().splitlines()
+    return header, [row.split(",") for row in rows]
+
+
+def test_solve_tables(tmp_path, const2_spec, capsys):
+    out = str(tmp_path / "run")
+    assert main(["solve", "--k", "2", "--m-panels", "2", "--n", "4",
+                 "--problem", f"custom:{const2_spec}", "--out", out]) == 0
+    line = capsys.readouterr().out
+    energy = re.search(r"energy=(\S+) ", line).group(1)
+    iters = int(re.search(r" iters=(\d+) ", line).group(1))
+    header, rows = _table(os.path.join(out, "solution.csv"))
+    assert header == "element,local_node,x,value" and len(rows) == 4 * 3
+    assert [(int(e), int(j)) for e, j, _, _ in rows[:4]] == [(0, 0), (0, 1), (0, 2), (1, 0)]
+    x = dof_points(uniform_mesh(-1.0, 1.0, 4), 2).ravel()
+    assert [float(r[2]) for r in rows] == x.tolist()
+    header, rows = _table(os.path.join(out, "terms.csv"))
+    assert header == "grad_term,fidelity,dir_penalty,int_penalty,neumann,total"
+    assert len(rows) == 1 and len(rows[0]) == 6 and rows[0][-1] == energy
+    header, rows = _table(os.path.join(out, "trace.csv"))
+    assert header == "iteration,f,grad_max" and len(rows) == iters + 1
+    assert [int(r[0]) for r in rows] == list(range(iters + 1))
 
 
 def test_solve_paper_writes_errors_and_plot(tmp_path):
@@ -92,8 +119,9 @@ def test_exact_command(tmp_path, capsys):
     assert main(["exact", "--samples", "11", "--out", out]) == 0
     lines = open(out).read().strip().split("\n")
     assert lines[0] == "x,u,uprime" and len(lines) == 12
+    B = re.search(r"B=(\S+) ", capsys.readouterr().out).group(1)
+    assert lines[-1].split(",")[:2] == ["1", B]  # u(1) = B, to all 17 digits
     # B overflows float64 at this dip: no table, and no solve on it either
-    capsys.readouterr()
     bad = str(tmp_path / "bad.csv")
     assert main(["exact", "--eps", "1e-4", "--out", bad]) == 3
     assert main(["solve", "--n", "4", "--eps", "1e-4", "--out", str(tmp_path / "run")]) == 3
@@ -238,3 +266,65 @@ def test_convergence_custom_problem_order(tmp_path, const2_spec):
             break
     else:
         raise AssertionError("missing order footer")
+
+
+def test_flag_wins_over_config_only_spelled_out(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("max_iters = 1\n")
+    base = ["solve", "--n", "10", "--config", str(cfgfile), "--out", str(tmp_path / "run")]
+    assert main(base + ["--max-iters", "500"]) == 0
+    assert "stop=converged" in capsys.readouterr().out
+    # an abbreviation the config file would not see as given is a usage error
+    assert main(base + ["--max", "500"]) == cli.EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("config error")
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["solve", "--n", "4", "--bogus", "1"],
+                                  ["solve", "--n", "4", "--method", "fem"], ["nope"]])
+def test_usage_error_is_config_error(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "run")]) == cli.EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("config error: pxdg")
+    assert not os.path.exists(tmp_path / "run")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0 and "--max-iters" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("problem", ["paper1d", "custom"])
+def test_empty_sweep_is_config_error(tmp_path, const2_spec, capsys, problem):
+    problem = f"custom:{const2_spec}" if problem == "custom" else problem
+    assert main(["convergence", "--ns", ",", "--problem", problem,
+                 "--out", str(tmp_path / "conv")]) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "--ns" in err
+    assert not os.path.exists(tmp_path / "conv")
+
+
+def test_cg_of_degree_zero_is_config_error(tmp_path, capsys):
+    # one shared value cannot take both Dirichlet values
+    assert main(["solve", "--method", "cg", "--k", "0", "--n", "10",
+                 "--out", str(tmp_path / "run")]) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "k >= 1" in err
+
+
+def test_unconverged_custom_reference_fails_the_sweep(tmp_path, const2_spec, capsys,
+                                                      monkeypatch):
+    solve_dg = cli.solve_dg
+
+    def reference_hits_the_cap(spec, k, cfg):
+        rep = solve_dg(spec, k, cfg)
+        if spec.mesh.n_elements == 40:
+            rep.stop_reason = "max_iters"
+        return rep
+
+    monkeypatch.setattr(cli, "solve_dg", reference_hits_the_cap)
+    out = tmp_path / "conv"
+    assert main(["convergence", "--ns", "10,20", "--problem", f"custom:{const2_spec}",
+                 "--out", str(out)]) == cli.EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert "reference solve at n=40" in err and "max_iters" in err
+    assert not os.path.exists(out)

@@ -94,11 +94,3 @@ def test_b_that_overflows_or_does_not_settle_is_rejected(monkeypatch):
                         lambda eps, C, n: (np.linspace(eps, 1.0, n + 1), np.linspace(0.0, n, n + 1)))
     with pytest.raises(ValueError, match="not settled at 8192 panels"):
         build_exact(0.01, 0.01, 1.3)
-
-
-def test_csv_output(bench):
-    text = bench.to_csv(11)
-    lines = text.strip().split("\n")
-    assert lines[0] == "x,u,uprime" and len(lines) == 12
-    x, u, up = (float(t) for t in lines[-1].split(","))
-    assert x == 1.0 and u == bench.B

@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from pxdg.broken import BrokenFunction, elementwise_gradient, interpolate, jumps
+from pxdg.broken import BrokenFunction, dof_points, elementwise_gradient, interpolate, jumps
 from pxdg.exponents import ExponentField
 from pxdg.functional import (
     FunctionalSpec,
@@ -16,7 +16,7 @@ from pxdg.functional import (
     eval_discrete,
 )
 from pxdg.lifting import LiftingConfig, lift
-from pxdg.meshes import uniform_mesh
+from pxdg.meshes import Mesh1D, uniform_mesh
 from pxdg.optimize import TAIL_UNKNOWNS, _band_solve, _block_index
 from pxdg.problems import benchmark_mesh, cg_spec, dg_spec, paper1d
 from pxdg.quadrature import gauss_legendre
@@ -124,7 +124,7 @@ def test_neumann_term():
     assert bd.neumann_term == pytest.approx(1.0, rel=1e-14)
 
 
-def test_breakdown_totals_and_csv():
+def test_breakdown_totals():
     mesh = uniform_mesh(-1, 1, 4)
     spec = make_spec(mesh, p=HAT)
     v = BrokenFunction(mesh, 1, np.random.default_rng(0).normal(size=(4, 2)))
@@ -133,9 +133,23 @@ def test_breakdown_totals_and_csv():
              bd.interior_penalty, bd.neumann_term)
     assert all(t >= 0.0 for t in parts)
     assert bd.total == sum(parts)
-    row = bd.csv_row().split(",")
-    assert len(row) == 6 and float(row[-1]) == pytest.approx(bd.total)
-    assert TermBreakdown.csv_header().count(",") == 5
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_dof_points_are_the_interpolation_nodes_and_the_solver_layout(k):
+    # bitwise: the solver's initial guess is a line through the data at dof_x
+    nodes = np.sort(np.random.default_rng(k).uniform(-1.0, 1.0, 7))
+    mesh = Mesh1D(np.concatenate([[-1.0], nodes, [1.0]]))
+    spec = make_spec(mesh, quadrature=("trapezoid", 2))
+    x = dof_points(mesh, k)
+    assert x.shape == (8, k + 1)
+    assert np.array_equal(interpolate(mesh, k, lambda t: t).coeffs, x)
+    cont = interpolate(mesh, k, lambda t: t, continuous=True).coeffs
+    assert np.array_equal(cont[:, 1:], x[:, 1:]) and np.array_equal(cont[1:, 0], x[:-1, -1])
+    assert np.array_equal(discrete_assembly(spec, k).dof_x, x.ravel())
+    # a shared CG node takes its position from the element on its right
+    assert np.array_equal(continuous_assembly(spec, k).dof_x,
+                          np.append(x[:, :k].ravel(), x[-1, -1]))
 
 
 def _fd_check(asm, x, rng, n_dirs=8):

@@ -126,8 +126,6 @@ def test_solve_report_fields():
     rep = solve_dg(spec, 1)
     assert rep.method == "dg" and rep.wall_time >= 0.0
     assert len(rep.f_history) == len(rep.grad_norm_history)
-    lines = rep.trace_csv().strip().split("\n")
-    assert lines[0] == "iteration,f,grad_max"
     # success certificate: relative gradient reduction
     assert rep.grad_norm_history[-1] <= 1e-8 * (1.0 + rep.grad_norm_history[0])
     assert rep.stop_reason == "converged"
