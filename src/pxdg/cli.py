@@ -103,8 +103,6 @@ def _build_parser():
     pp.add_argument("--suite", default="all",
                     help="comma-separated suite names or 'all'")
     pp.add_argument("--out", default=None, help="also write a CSV report")
-    pp.add_argument("--debug-break-h", action="store_true", dest="break_h",
-                    help="corrupt the face-size function (negative control)")
     return ap, sub.choices
 
 
@@ -295,6 +293,9 @@ def cmd_compare(args):
 
 
 def cmd_exact(args):
+    if args.samples < 2:
+        raise ValueError(f"--samples {args.samples}: the table needs at least 2 rows, "
+                         "for x = -1 and x = 1")
     sol = build_exact(args.eps, args.a, args.C)
     xs = np.linspace(-1.0, 1.0, args.samples)
     write_atomic(args.out, csv_text(("x", "u", "uprime"), zip(xs, sol.u(xs), sol.uprime(xs))))
@@ -308,7 +309,7 @@ def cmd_properties(args):
         unknown = set(names) - set(SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
-    results = run_suites(seed=args.seed, names=names, break_h=args.break_h)
+    results = run_suites(seed=args.seed, names=names)
     for r in results:
         print(("PASS" if r.passed else "FAIL"), f"{r.suite}.{r.name}", "-", r.detail)
     if args.out:

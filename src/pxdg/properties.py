@@ -1,9 +1,7 @@
 """Randomized property suites aggregating the per-module invariants.
 
 Each suite returns PropertyResult rows; the CLI prints one line per row and
-fails the run when any row fails.  A debug switch deliberately corrupts the
-face-size function as a negative control: the lifting-bound suite must detect
-it.
+fails the run when any row fails.
 """
 
 import math
@@ -31,7 +29,7 @@ from .exponents import (
 )
 from .functional import FunctionalSpec, coercivity_certificate, eval_discrete
 from .lifting import lift, lifting_bound_ratio, verify_weak_identity
-from .meshes import Mesh1D, refine, uniform_mesh
+from .meshes import refine, uniform_mesh
 from .problems import paper1d
 from .reconstruction import mean_bound_check, reconstruct, reconstruction_error_report
 
@@ -44,15 +42,6 @@ class PropertyResult:
     name: str
     passed: bool
     detail: str
-
-
-class _BrokenHMesh(Mesh1D):
-    """Negative control: misdefines the interior face sizes as h^3."""
-
-    @property
-    def interior_face_sizes(self):
-        h = super().interior_face_sizes
-        return h**3
 
 
 def _random_field(rng):
@@ -80,7 +69,18 @@ def _random_broken(rng, mesh, degree=1, scale=1.0):
     return BrokenFunction(mesh, degree, scale * rng.normal(size=(ne, degree + 1)))
 
 
-def suite_modular(rng, break_h=False):
+def _level_maxima(rng, mesh, levels, draws, ratio, degree):
+    """On each of `levels` meshes, each the bisection of the last, the largest
+    ratio(u) (at least 0) over `draws` random broken functions of `degree`."""
+    maxima = []
+    for _ in range(levels):
+        maxima.append(max(0.0, *(ratio(_random_broken(rng, mesh, degree))
+                                 for _ in range(draws))))
+        mesh = refine(mesh)
+    return maxima
+
+
+def suite_modular(rng):
     res = []
     worst = 0.0
     bad = 0
@@ -117,7 +117,7 @@ def suite_modular(rng, break_h=False):
     return res
 
 
-def suite_pointwise(rng, break_h=False):
+def suite_pointwise(rng):
     bad = 0
     for _ in range(300):
         eta = float(rng.normal(scale=3.0))
@@ -132,7 +132,7 @@ def suite_pointwise(rng, break_h=False):
                            f"300 cases, failures={bad}")]
 
 
-def suite_log_holder(rng, break_h=False):
+def suite_log_holder(rng):
     res = []
     hat = ExponentField.hat_family(0.01, 0.01)
     vals = [log_holder_bound(hat, 1.0, (-(2.0**-j), 0.0)) for j in range(1, 21)]
@@ -152,46 +152,32 @@ def suite_log_holder(rng, break_h=False):
     return res
 
 
-def suite_bv_bound(rng, break_h=False):
+def suite_bv_bound(rng):
     p = ExponentField.hat_family(0.2, 0.3)
-    mesh = uniform_mesh(-1.0, 1.0, 8)
-    consts = []
-    for _ in range(4):
-        worst = 0.0
-        for _ in range(12):
-            u = _random_broken(rng, mesh)
-            tv = total_variation(u)
-            semi = broken_seminorm(u, p)
-            if semi > 0.0:
-                worst = max(worst, tv / semi)
-        consts.append(worst)
-        mesh = refine(mesh)
+
+    def ratio(u):
+        semi = broken_seminorm(u, p)
+        return total_variation(u) / semi if semi > 0.0 else 0.0
+
+    consts = _level_maxima(rng, uniform_mesh(-1.0, 1.0, 8), 4, 12, ratio, degree=1)
     spread = max(consts) / min(consts)
     return [PropertyResult("bv_bound", "total_variation_vs_seminorm", spread <= 2.0,
                            f"constant spread {spread:.3g} over 4 levels")]
 
 
-def suite_inverse_estimate(rng, break_h=False):
+def suite_inverse_estimate(rng):
     p = ExponentField.constant(1.0, domain=(0.0, 1.0))
     q = ExponentField.constant(2.0, domain=(0.0, 1.0))
-    mesh = uniform_mesh(0.0, 1.0, 4)
-    consts = []
-    for _ in range(5):
-        worst = 0.0
-        for _ in range(8):
-            u = _random_broken(rng, mesh, degree=3)
-            worst = max(worst, inverse_estimate_check(u, p, q)[0])
-        consts.append(worst)
-        mesh = refine(mesh)
+    consts = _level_maxima(rng, uniform_mesh(0.0, 1.0, 4), 5, 8,
+                           lambda u: inverse_estimate_check(u, p, q)[0], degree=3)
     spread = max(consts) / min(consts)
     return [PropertyResult("inverse_estimate", "ratio_stable", spread <= 2.0,
                            f"max-ratio spread {spread:.3g} over 5 levels")]
 
 
-def suite_lifting(rng, break_h=False):
+def suite_lifting(rng):
     res = []
-    mesh_cls = _BrokenHMesh if break_h else Mesh1D
-    base = mesh_cls(np.linspace(-1.0, 1.0, 9))
+    base = uniform_mesh(-1.0, 1.0, 8)
     worst_resid = 0.0
     for _ in range(50):
         u = _random_broken(rng, base, degree=int(rng.integers(1, 4)))
@@ -219,22 +205,14 @@ def suite_lifting(rng, break_h=False):
                               "vanishes off the jump neighbors"))
 
     p = ExponentField.hat_family(0.3, 0.4)
-    mesh = mesh_cls(np.linspace(-1.0, 1.0, 9))
-    ratios = []
-    for _ in range(5):
-        worst = 0.0
-        for _ in range(10):
-            u = _random_broken(rng, mesh)
-            worst = max(worst, lifting_bound_ratio(u, p))
-        ratios.append(worst)
-        mesh = mesh_cls(refine(mesh).nodes)
+    ratios = _level_maxima(rng, base, 5, 10, lambda u: lifting_bound_ratio(u, p), degree=1)
     spread = max(ratios) / min(ratios)
     res.append(PropertyResult("lifting", "bound_ratio_stable", spread <= 2.0,
                               f"max-ratio spread {spread:.3g} over 5 levels"))
     return res
 
 
-def suite_reconstruction(rng, break_h=False):
+def suite_reconstruction(rng):
     res = []
     mesh = uniform_mesh(0.0, 1.0, 5)
     u = interpolate(mesh, 1, lambda x: 5.0 + 0.0 * x)
@@ -268,29 +246,25 @@ def suite_reconstruction(rng, break_h=False):
     return res
 
 
-def suite_broken_poincare(rng, break_h=False):
+def suite_broken_poincare(rng):
     p = ExponentField.hat_family(0.01, 0.01)
-    mesh = uniform_mesh(-1.0, 1.0, 8)
-    maxima = []
-    for _ in range(4):
-        worst = 0.0
-        vol, gx = volume_samples(mesh, 4)
-        for _ in range(50):
-            u = _random_broken(rng, mesh)
-            vals = u.values_at_ref(gx).ravel()
-            mean = float(np.sum(vol.weights * vals)) / vol.total_weight
-            num = luxemburg_norm(vol, vals - mean, p)
-            den = broken_seminorm(u, p)
-            if den > 0.0:
-                worst = max(worst, num / den)
-        maxima.append(worst)
-        mesh = refine(mesh)
+
+    def ratio(u):
+        den = broken_seminorm(u, p)
+        if den <= 0.0:
+            return 0.0
+        vol, gx = volume_samples(u.mesh, 4)
+        vals = u.values_at_ref(gx).ravel()
+        mean = float(np.sum(vol.weights * vals)) / vol.total_weight
+        return luxemburg_norm(vol, vals - mean, p) / den
+
+    maxima = _level_maxima(rng, uniform_mesh(-1.0, 1.0, 8), 4, 50, ratio, degree=1)
     growth = max(m1 / m0 for m0, m1 in zip(maxima, maxima[1:]))
     return [PropertyResult("broken_poincare", "ratio_growth", growth <= 2.0,
                            f"levels {['%.3g' % m for m in maxima]}, worst growth {growth:.3g}")]
 
 
-def suite_coercivity(rng, break_h=False):
+def suite_coercivity(rng):
     prob = paper1d()
     mesh = uniform_mesh(-1.0, 1.0, 10)
     spec = FunctionalSpec(mesh, prob.p, u_D=dict(prob.u_D), quadrature=("trapezoid", 1))
@@ -304,7 +278,7 @@ def suite_coercivity(rng, break_h=False):
                            f"25 cases, failures={bad}")]
 
 
-def suite_consistency(rng, break_h=False):
+def suite_consistency(rng):
     """Interpolate-then-average a smooth candidate: its boundary penalty decays
     like h and its discrete energy approaches the continuum value."""
     prob = paper1d()
@@ -348,9 +322,9 @@ SUITES = {
 }
 
 
-def run_suites(seed=0, names=None, break_h=False):
+def run_suites(seed=0, names=None):
     rng = np.random.default_rng(seed)
     out = []
     for name in names or SUITES:
-        out.extend(SUITES[name](rng, break_h=break_h))
+        out.extend(SUITES[name](rng))
     return out

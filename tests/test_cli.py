@@ -9,7 +9,7 @@ import pytest
 from pxdg import cli
 from pxdg.broken import dof_points
 from pxdg.cli import main
-from pxdg.meshes import uniform_mesh
+from pxdg.meshes import Mesh1D, uniform_mesh
 
 
 @pytest.fixture()
@@ -130,13 +130,23 @@ def test_exact_command(tmp_path, capsys):
     assert not os.path.exists(bad)
 
 
-def test_properties_exit_codes(tmp_path):
+@pytest.mark.parametrize("samples", [0, 1])
+def test_exact_table_without_both_ends_is_config_error(tmp_path, capsys, samples):
+    out = str(tmp_path / "exact.csv")
+    assert main(["exact", "--samples", str(samples), "--out", out]) == 3
+    assert "--samples" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_properties_exit_codes(tmp_path, monkeypatch):
     assert main(["properties", "--suite", "modular", "--seed", "0"]) == 0
+    assert main(["properties", "--debug-break-h"]) == 3  # no such flag any more
+    # negative control: face sizes misdefined as h^3 break the lifting bound
+    sizes = Mesh1D.interior_face_sizes.fget
+    monkeypatch.setattr(Mesh1D, "interior_face_sizes", property(lambda m: sizes(m) ** 3))
     rep = str(tmp_path / "props.csv")
-    code = main(["properties", "--suite", "lifting", "--debug-break-h",
-                 "--out", rep])
-    assert code == 2
-    assert "0" in open(rep).read()
+    assert main(["properties", "--suite", "lifting", "--out", rep]) == 2
+    assert "\nlifting,bound_ratio_stable,0," in open(rep).read()
 
 
 def test_properties_seed_invariance():

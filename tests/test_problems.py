@@ -4,6 +4,7 @@ import pytest
 from pxdg.broken import interpolate
 from pxdg.meshes import uniform_mesh
 from pxdg.problems import (
+    _error_partition,
     benchmark_mesh,
     cg_spec,
     custom_spec,
@@ -38,6 +39,20 @@ def test_benchmark_mesh_snaps_odd_counts():
     assert 0.0 in benchmark_mesh(41).nodes
     with pytest.raises(ValueError):
         benchmark_mesh(1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 41, 399, 1280, 5120])
+def test_error_partition_matches_the_node_set_construction(n):
+    mesh = benchmark_mesh(n)
+    for layer in (0.01, 1e-6, 0.3, 0.9):
+        pts = set(float(x) for x in mesh.nodes)
+        for j in range(19):
+            d = layer * 2.0 ** (1 - j)
+            pts.update(s for s in (-d, d) if mesh.x_left < s < mesh.x_right)
+        want = np.array(sorted(pts))
+        got = _error_partition(mesh, layer)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
 
 
 def test_specs_build(prob):
