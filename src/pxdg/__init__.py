@@ -5,7 +5,7 @@ benchmark and its exact solution."""
 from .broken import BrokenFunction, broken_seminorm, elementwise_gradient, interpolate, jumps
 from .exact import ExactSolution, build_exact
 from .exponents import ExponentField, WeightedSampleSet, luxemburg_norm, modular
-from .functional import FunctionalSpec, TermBreakdown, eval_continuous, eval_discrete
+from .functional import FunctionalSpec, TermBreakdown, eval_discrete
 from .lifting import LiftingConfig, lift
 from .meshes import Mesh1D, refine, uniform_mesh
 from .optimize import BfgsConfig, SolveReport, solve_cg, solve_dg
@@ -16,7 +16,7 @@ __all__ = [
     "BrokenFunction", "broken_seminorm", "elementwise_gradient", "interpolate", "jumps",
     "ExactSolution", "build_exact",
     "ExponentField", "WeightedSampleSet", "luxemburg_norm", "modular",
-    "FunctionalSpec", "TermBreakdown", "eval_continuous", "eval_discrete",
+    "FunctionalSpec", "TermBreakdown", "eval_discrete",
     "LiftingConfig", "lift",
     "Mesh1D", "refine", "uniform_mesh",
     "BfgsConfig", "SolveReport", "solve_cg", "solve_dg",

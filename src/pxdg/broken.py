@@ -196,8 +196,8 @@ def total_variation(u):
 
 def inverse_estimate_check(u, p, q):
     """Per-element ratios ||u||_p / (h^{1/p_+ - 1/q_-} ||u||_q); elements with u = 0 skipped."""
-    gx, gw = gauss_legendre(u.degree + 2)
-    xq, wq = composite_points(u.mesh.nodes, gx, gw)
+    vol, gx = volume_samples(u.mesh, u.degree + 2)
+    xq, wq = vol.xs.reshape(-1, gx.size), vol.weights.reshape(-1, gx.size)
     vals = u.values_at_ref(gx)
     h = u.mesh.element_sizes
     ratios = []

@@ -74,10 +74,10 @@ def _build_parser():
                        "Kacanov eps floor takes")
         p.add_argument("--max-iters", type=int, default=20000, dest="max_iters")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--plot", choices=["svg"], help="also write SVG plots")
 
     ps = sub.add_parser("solve", help="minimize one discrete problem")
     common(ps)
+    ps.add_argument("--plot", choices=["svg"], help="also write an SVG plot")
     ps.add_argument("--method", choices=["dg", "cg"], default="dg")
     ps.add_argument("--n", type=int, required=True, help="element count")
 
@@ -89,6 +89,7 @@ def _build_parser():
 
     pm = sub.add_parser("compare", help="DG(n) against CG(2n)")
     common(pm)
+    pm.add_argument("--plot", choices=["svg"], help="also write an SVG plot")
     pm.add_argument("--n", type=int, required=True)
 
     pe = sub.add_parser("exact", help="tabulate the benchmark exact solution")

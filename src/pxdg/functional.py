@@ -50,8 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .broken import (BrokenFunction, _basis, _eval_matrix, dof_points, elementwise_gradient,
-                     jumps)
+from .broken import BrokenFunction, _basis, _eval_matrix, dof_points, elementwise_gradient
 from .lifting import LiftingConfig, lift, lift_matrix
 from .quadrature import composite_points, reference_rule
 
@@ -59,7 +58,6 @@ __all__ = [
     "FunctionalSpec",
     "TermBreakdown",
     "eval_discrete",
-    "eval_continuous",
     "discrete_assembly",
     "continuous_assembly",
 ]
@@ -429,10 +427,6 @@ class _Assembly:
             start += width * n
         return band
 
-    def broken_to_unique(self, v):
-        return (np.bincount(self.unique_dof, v, minlength=self.n_unique)
-                / np.bincount(self.unique_dof, minlength=self.n_unique))
-
     def function(self, x):
         """The BrokenFunction with the DOF vector x."""
         dofs = x[self.unique_dof] if self.continuous else x
@@ -462,21 +456,6 @@ def eval_discrete(v, spec):
     """Term-by-term value of the penalized broken energy at v."""
     _check_mesh(v, spec)
     return discrete_assembly(spec, v.degree).terms(v.dof_vector())
-
-
-def _require_continuous(v):
-    if v.mesh.n_elements > 1:
-        scale = 1.0 + float(np.max(np.abs(v.coeffs)))
-        if float(np.max(np.abs(jumps(v)))) > 1e-10 * scale:
-            raise ValueError("conforming energy needs a continuous function")
-
-
-def eval_continuous(v, spec):
-    """Conforming energy (no lifting, no penalties); v must be continuous."""
-    _check_mesh(v, spec)
-    _require_continuous(v)
-    asm = continuous_assembly(spec, v.degree)
-    return asm.terms(asm.broken_to_unique(v.dof_vector()))
 
 
 def coercivity_certificate(v, spec):

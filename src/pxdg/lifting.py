@@ -23,7 +23,6 @@ __all__ = [
     "lift_matrix",
     "verify_weak_identity",
     "lifting_bound_ratio",
-    "degree0_closed_form",
 ]
 
 
@@ -115,18 +114,3 @@ def lifting_bound_ratio(u, p):
     den = luxemburg_norm(faces, fvals, p)
     return num / den
 
-
-def degree0_closed_form(u):
-    """l = 0 lifting in closed form: R|_k = -(sum of the element's face jumps)/(2 h_k)."""
-    ne = u.mesh.n_elements
-    h = u.mesh.element_sizes
-    J = jumps(u)
-    vals = np.zeros((ne, 1))
-    for e in range(ne):
-        s = 0.0
-        if e >= 1:
-            s += J[e - 1]
-        if e <= ne - 2:
-            s += J[e]
-        vals[e, 0] = -s / (2.0 * h[e])
-    return BrokenFunction(u.mesh, 0, vals)

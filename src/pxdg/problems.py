@@ -150,6 +150,10 @@ def load_problem_file(path):
     fidelity = opts.get("fidelity", "off")
     if fidelity not in ("on", "off"):
         raise ValueError(f"unknown fidelity {fidelity!r}; expected one of ['off', 'on']")
+    try:
+        xl, xr = (float(t) for t in opts.get("domain", "-1,1").split(","))
+    except ValueError:
+        raise ValueError(f"domain = {opts['domain']!r} is not two numbers xl,xr") from None
     out = {
         "p": ExponentField.from_text(opts["p"]),
         "q": ExponentField.from_text(opts["q"]) if "q" in opts else None,
@@ -158,7 +162,7 @@ def load_problem_file(path):
         "fidelity_on": fidelity == "on",
         "xi": _XI_SAMPLES[xi],
         "u_D": {},
-        "domain": tuple(float(t) for t in opts.get("domain", "-1,1").split(",")),
+        "domain": (xl, xr),
     }
     if "uD_left" in opts:
         out["u_D"]["left"] = float(opts["uD_left"])

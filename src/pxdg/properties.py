@@ -304,7 +304,7 @@ def suite_consistency(rng):
 
 def _linear_energy(prob):
     """Continuum energy of the straight line B*x under the hat exponent."""
-    s = WeightedSampleSet.gauss(-1.0, 1.0, 10, 400)
+    s = volume_samples(uniform_mesh(-1.0, 1.0, 400), 10)[0]
     return modular(s, np.full(s.xs.size, prob.B), prob.p)
 
 

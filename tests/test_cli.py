@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -6,6 +8,7 @@ import xml.dom.minidom
 
 import pytest
 
+import pxdg
 from pxdg import cli
 from pxdg.broken import dof_points
 from pxdg.cli import main
@@ -92,6 +95,15 @@ def test_cli_import_leaves_out_scipy_solvers():
     assert out.stdout.strip() == "[]"
 
 
+def test_every_export_resolves():
+    # a deleted or moved name must leave every __all__ with it
+    modules = [pxdg] + [importlib.import_module(f"pxdg.{m.name}")
+                        for m in pkgutil.iter_modules(pxdg.__path__)]
+    stale = [f"{mod.__name__}.{name}" for mod in modules
+             for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert modules[1:] and not stale
+
+
 def test_compare_small(tmp_path):
     out = str(tmp_path / "cmp")
     code = main(["compare", "--n", "10", "--out", out, "--tol", "1e-7"])
@@ -167,15 +179,24 @@ def test_unknown_suite_is_config_error():
 
 
 def test_unknown_problem_is_config_error(tmp_path, capsys):
-    # an unknown problem name, an unknown xi, and an exponent field missing a key
+    # an unknown problem name, an unknown xi, an exponent field missing a key or
+    # with a token that has no '=', and a domain that is not two numbers
     bad_xi = tmp_path / "bad_xi.spec"
     bad_xi.write_text("p = kind=const value=2\nxi = bogus\n")
     no_a = tmp_path / "no_a.spec"
     no_a.write_text("p = kind=hat eps=0.01\n")
     bad_fidelity = tmp_path / "bad_fidelity.spec"
     bad_fidelity.write_text("p = kind=const value=2\nfidelity = yes\n")
+    no_equals = tmp_path / "no_equals.spec"
+    no_equals.write_text("p = kind=const 2\n")
+    one_end = tmp_path / "one_end.spec"
+    one_end.write_text("p = kind=const value=2\ndomain = 1\n")
+    three_ends = tmp_path / "three_ends.spec"
+    three_ends.write_text("p = kind=const value=2\ndomain = -1,0,1\n")
     for problem, named in (("wat", "'wat'"), (f"custom:{bad_xi}", "'bogus'"),
-                           (f"custom:{no_a}", "'a'"), (f"custom:{bad_fidelity}", "'yes'")):
+                           (f"custom:{no_a}", "'a'"), (f"custom:{bad_fidelity}", "'yes'"),
+                           (f"custom:{no_equals}", "'2'"), (f"custom:{one_end}", "domain"),
+                           (f"custom:{three_ends}", "domain")):
         assert main(["solve", "--method", "dg", "--n", "4",
                      "--problem", problem, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
@@ -290,7 +311,8 @@ def test_flag_wins_over_config_only_spelled_out(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["solve"], ["solve", "--n", "4", "--bogus", "1"],
-                                  ["solve", "--n", "4", "--method", "fem"], ["nope"]])
+                                  ["solve", "--n", "4", "--method", "fem"], ["nope"],
+                                  ["convergence", "--plot", "svg"]])
 def test_usage_error_is_config_error(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "run")]) == cli.EXIT_CONFIG_ERROR
     assert capsys.readouterr().err.startswith("config error: pxdg")

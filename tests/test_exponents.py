@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from pxdg.broken import volume_samples
 from pxdg.exponents import (
     DomainError,
     ExponentField,
@@ -14,6 +15,7 @@ from pxdg.exponents import (
     modular,
     pointwise_inequalities,
 )
+from pxdg.meshes import uniform_mesh
 
 HAT = ExponentField.hat_family(0.01, 0.01)
 
@@ -42,18 +44,18 @@ def test_neg_inv_conjugate_handles_p_equal_one():
 
 
 def test_modular_examples():
-    s = WeightedSampleSet.gauss(0.0, 1.0, 6, 4)
+    s = volume_samples(uniform_mesh(0.0, 1.0, 4), 6)[0]
     p2 = ExponentField.constant(2.0)
     assert abs(modular(s, s.xs, p2) - 1.0 / 3.0) < 1e-14
-    s2 = WeightedSampleSet.gauss(-1.0, 1.0, 6, 4)
+    s2 = volume_samples(uniform_mesh(-1.0, 1.0, 4), 6)[0]
     assert abs(modular(s2, np.ones(s2.xs.size), p2) - 2.0) < 1e-14
 
 
 def test_modular_against_adaptive_quadrature_oracle():
     # panel edges aligned with the exponent kink keep the composite rule exact
     field = ExponentField.hat_family(0.3, 0.4)
-    left = WeightedSampleSet.gauss(0.0, 0.4, 10, 16)
-    right = WeightedSampleSet.gauss(0.4, 1.0, 10, 24)
+    left = volume_samples(uniform_mesh(0.0, 0.4, 16), 10)[0]
+    right = volume_samples(uniform_mesh(0.4, 1.0, 24), 10)[0]
     s = WeightedSampleSet(np.concatenate([left.xs, right.xs]),
                           np.concatenate([left.weights, right.weights]))
     for fn in (lambda x: np.ones_like(x), lambda x: 2.0 + np.sin(3.0 * x)):
@@ -65,14 +67,14 @@ def test_modular_against_adaptive_quadrature_oracle():
 
 def test_luxemburg_examples():
     p2 = ExponentField.constant(2.0)
-    s = WeightedSampleSet.gauss(0.0, 1.0, 6, 4)
+    s = volume_samples(uniform_mesh(0.0, 1.0, 4), 6)[0]
     assert abs(luxemburg_norm(s, np.ones(s.xs.size), p2) - 1.0) < 1e-13
-    s2 = WeightedSampleSet.gauss(-1.0, 1.0, 6, 4)
+    s2 = volume_samples(uniform_mesh(-1.0, 1.0, 4), 6)[0]
     assert abs(luxemburg_norm(s2, np.ones(s2.xs.size), p2) - np.sqrt(2.0)) < 1e-13
 
 
 def test_luxemburg_zero_function():
-    s = WeightedSampleSet.gauss(0.0, 1.0, 4, 2)
+    s = volume_samples(uniform_mesh(0.0, 1.0, 2), 4)[0]
     assert luxemburg_norm(s, np.zeros(s.xs.size), HAT) == 0.0
 
 
@@ -80,7 +82,7 @@ def test_luxemburg_against_bruteforce_bisection():
     # same discrete measure, independent root finding: plain bisection pushed
     # an order of magnitude past the production tolerance, no bracket theory
     field = ExponentField.hat_family(0.3, 0.4)
-    s = WeightedSampleSet.gauss(0.0, 1.0, 8, 16)
+    s = volume_samples(uniform_mesh(0.0, 1.0, 16), 8)[0]
     got = luxemburg_norm(s, s.xs, field)
     lo, hi = 1e-8, 1e8
     while hi - lo > 1e-13 * hi:
@@ -104,7 +106,7 @@ def test_constant_p_matches_classical_lp():
 
 def test_modular_norm_relations_examples():
     p2 = ExponentField.constant(2.0)
-    s = WeightedSampleSet.gauss(0.0, 1.0, 6, 2)
+    s = volume_samples(uniform_mesh(0.0, 1.0, 2), 6)[0]
     u = np.cos(s.xs)
     lam = luxemburg_norm(s, u, p2)
     rep = check_modular_norm_relations(s, u / lam, p2)

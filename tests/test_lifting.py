@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from pxdg.broken import BrokenFunction, evaluate, interpolate
+from pxdg.broken import BrokenFunction, evaluate, interpolate, jumps
 from pxdg.exponents import ExponentField
 from pxdg.lifting import (
     LiftingConfig,
     ZeroJumpsError,
-    degree0_closed_form,
     lift,
     lifting_bound_ratio,
     verify_weak_identity,
@@ -105,6 +104,22 @@ def test_bound_ratio_stable_under_refinement():
         maxima.append(worst)
         mesh = refine(mesh)
     assert max(maxima) / min(maxima) <= 2.0
+
+
+def degree0_closed_form(u):
+    """l = 0 lifting in closed form: R|_k = -(sum of the element's face jumps)/(2 h_k)."""
+    ne = u.mesh.n_elements
+    h = u.mesh.element_sizes
+    J = jumps(u)
+    vals = np.zeros((ne, 1))
+    for e in range(ne):
+        s = 0.0
+        if e >= 1:
+            s += J[e - 1]
+        if e <= ne - 2:
+            s += J[e]
+        vals[e, 0] = -s / (2.0 * h[e])
+    return BrokenFunction(u.mesh, 0, vals)
 
 
 def test_degree0_closed_form_matches_solver():
