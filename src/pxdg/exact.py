@@ -56,10 +56,6 @@ class ExactSolution:
         out = np.where(xs != 0.0, np.copysign(val, xs), 0.0)
         return float(out[0]) if scalar else out
 
-    def flux(self, x):
-        """|u'|^{p-2} u' = u'^{p-1}; constant C by construction."""
-        return self.uprime(x) ** self._pm1(x)
-
 
 def _check_domain(x):
     if np.any(np.abs(np.asarray(x)) > 1.0 + 1e-12):

@@ -30,32 +30,28 @@ class DomainError(ValueError):
 class ExponentField:
     """A bounded exponent x -> p(x) on an interval, with 1 <= p1 <= p <= p2 < inf.
 
-    kind is one of:
-      * ``const``: p identically ``value``
-      * ``hat``:   p(x) = ((1-eps)/a)|x| + 1 + eps on |x| <= a, and 2 on a <= |x|;
-                   the V-shaped profile dipping to 1+eps at the origin
-      * ``pwl``:   piecewise linear through (xs, vals)
+    p is the piecewise-linear interpolant of the breakpoints (xs, vals), constant
+    beyond the end breakpoints; every such field is Lipschitz, hence log-Holder.
     """
 
-    kind: str
     domain: tuple
-    value: float = 0.0
-    eps: float = 0.0
-    a: float = 0.0
-    xs: tuple = ()
-    vals: tuple = ()
+    xs: tuple
+    vals: tuple
 
     @staticmethod
     def constant(value, domain=(-math.inf, math.inf)):
         if value < 1.0:
             raise ValueError("exponent must satisfy p >= 1")
-        return ExponentField("const", tuple(domain), value=float(value))
+        return ExponentField(tuple(domain), (0.0,), (float(value),))
 
     @staticmethod
-    def hat_family(eps, a, domain=(-1.0, 1.0)):
+    def hat_family(eps, a):
+        """p(x) = ((1-eps)/a)|x| + 1 + eps on |x| <= a, and 2 on a <= |x| <= 1:
+        the V-shaped profile dipping to 1+eps at the origin."""
         if not (0.0 < eps < 1.0 and 0.0 < a < 1.0):
             raise ValueError("hat family needs 0 < eps, a < 1")
-        return ExponentField("hat", tuple(domain), eps=float(eps), a=float(a))
+        eps, a = float(eps), float(a)
+        return ExponentField((-1.0, 1.0), (-a, 0.0, a), (2.0, 1.0 + eps, 2.0))
 
     @staticmethod
     def piecewise_linear(xs, vals):
@@ -67,22 +63,14 @@ class ExponentField:
             raise ValueError("breakpoints must be strictly increasing")
         if min(vals) < 1.0:
             raise ValueError("exponent must satisfy p >= 1")
-        return ExponentField("pwl", (xs[0], xs[-1]), xs=xs, vals=vals)
+        return ExponentField((xs[0], xs[-1]), xs, vals)
 
     @property
     def p1(self):
-        if self.kind == "const":
-            return self.value
-        if self.kind == "hat":
-            return 1.0 + self.eps
         return min(self.vals)
 
     @property
     def p2(self):
-        if self.kind == "const":
-            return self.value
-        if self.kind == "hat":
-            return 2.0
         return max(self.vals)
 
     def _check_domain(self, x):
@@ -97,15 +85,7 @@ class ExponentField:
         scalar = np.isscalar(x)
         x = np.asarray(x, dtype=float)
         self._check_domain(x)
-        if self.kind == "const":
-            p = np.full_like(x, self.value)
-        elif self.kind == "hat":
-            # 2 - (1-eps)(1 - t) with t = min(|x|,a)/a hits both endpoint
-            # values exactly: p(0) = 1+eps, p(+-a) = 2
-            t = np.minimum(np.abs(x), self.a) / self.a
-            p = 2.0 - (1.0 - self.eps) * (1.0 - t)
-        else:
-            p = np.interp(x, self.xs, self.vals)
+        p = np.interp(x, self.xs, self.vals)
         return float(p) if scalar else p
 
     def neg_inv_conjugate(self, x):
@@ -120,18 +100,26 @@ class ExponentField:
             if "=" not in tok:
                 raise ValueError(f"exponent field spec {text!r}: the token {tok!r} has no '='")
         kv = dict(tok.split("=", 1) for tok in text.split())
+
+        def read(key, parse):
+            if key not in kv:
+                raise ValueError(f"exponent field spec {text!r} lacks the key {key!r}")
+            try:
+                return parse(kv[key])
+            except ValueError:
+                raise ValueError(f"exponent field spec {text!r}: {key}={kv[key]!r} "
+                                 "is not numeric") from None
+
+        def floats(v):
+            return [float(t) for t in v.split(",")]
+
         kind = kv.get("kind")
-        try:
-            if kind == "const":
-                return ExponentField.constant(float(kv["value"]))
-            if kind == "hat":
-                return ExponentField.hat_family(float(kv["eps"]), float(kv["a"]))
-            if kind == "pwl":
-                xs = [float(t) for t in kv["xs"].split(",")]
-                vals = [float(t) for t in kv["vals"].split(",")]
-                return ExponentField.piecewise_linear(xs, vals)
-        except KeyError as exc:
-            raise ValueError(f"exponent field spec {text!r} lacks the key {exc.args[0]!r}") from None
+        if kind == "const":
+            return ExponentField.constant(read("value", float))
+        if kind == "hat":
+            return ExponentField.hat_family(read("eps", float), read("a", float))
+        if kind == "pwl":
+            return ExponentField.piecewise_linear(read("xs", floats), read("vals", floats))
         raise ValueError(f"unknown exponent field spec {text!r}")
 
 
@@ -274,7 +262,8 @@ def check_modular_norm_relations(samples, values, fld, slack=1e-9):
 
 
 def log_holder_bound(fld, alpha, interval):
-    """max over 513 sampled x, y in the interval of h^{alpha (p(x)-p(y))}, h = diam.
+    """max of h^{alpha (p(x)-p(y))}, h = diam, over x, y among 513 equispaced points
+    of the interval and the field's breakpoints inside it.
 
     Bounded uniformly in h for log-Holder fields; grows like h^{-alpha*gap} across
     a jump of size gap.
@@ -283,10 +272,9 @@ def log_holder_bound(fld, alpha, interval):
         raise ValueError("alpha must be positive")
     a, b = interval
     xs = np.linspace(a, b, 513)
-    if fld.kind == "pwl":
-        inside = [x for x in fld.xs if a < x < b]
-        if inside:
-            xs = np.sort(np.concatenate([xs, inside]))
+    inside = [x for x in fld.xs if a < x < b]
+    if inside:
+        xs = np.sort(np.concatenate([xs, inside]))
     p = fld(xs)
     h = b - a
     gap = float(np.max(p) - np.min(p))

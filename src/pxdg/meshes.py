@@ -30,7 +30,7 @@ class Mesh1D:
         if np.any(np.diff(nodes) <= 0.0):
             raise ValueError("nodes must be strictly increasing")
         if self.dirichlet not in _TAGS:
-            raise ValueError(f"dirichlet tag must be one of {_TAGS}")
+            raise ValueError(f"dirichlet tag {self.dirichlet!r} is not one of {_TAGS}")
         object.__setattr__(self, "nodes", nodes)
 
     @property

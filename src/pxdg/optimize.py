@@ -425,8 +425,10 @@ def _solve(asm, cfg, method):
 def solve_dg(spec, k, cfg=None):
     """Minimize the penalized broken energy over degree-k broken polynomials.
 
-    Raises ``ValueError`` if the quadrature has fewer than max(k - 1, l) + 1
-    points per element, l the lifting degree."""
+    Raises ``ValueError`` for k < 0, and if the quadrature has fewer than
+    max(k - 1, l) + 1 points per element, l the lifting degree."""
+    if k < 0:
+        raise ValueError(f"DG needs degree k >= 0, got {k}")
     _check_dg_quadrature(spec, k)
     return _solve(discrete_assembly(spec, k), cfg, "dg")
 

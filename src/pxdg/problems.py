@@ -18,9 +18,6 @@ __all__ = ["PaperProblem", "paper1d", "benchmark_mesh", "dg_spec", "cg_spec",
 
 @dataclass(frozen=True)
 class PaperProblem:
-    eps: float
-    a: float
-    C: float
     exact: object
     p: ExponentField
     u_D: dict
@@ -34,7 +31,7 @@ def paper1d(eps=0.01, a=0.01, C=1.3):
     """The 1D benchmark: hat exponent on (-1, 1), Dirichlet data +-B, no fidelity."""
     exact = build_exact(eps, a, C)
     p = ExponentField.hat_family(eps, a)
-    return PaperProblem(eps, a, C, exact, p, {"left": -exact.B, "right": exact.B})
+    return PaperProblem(exact, p, {"left": -exact.B, "right": exact.B})
 
 
 def benchmark_mesh(n, dirichlet="both"):
@@ -67,7 +64,7 @@ def cg_spec(problem, mesh, quadrature=("trapezoid", 1)):
 
 def reference_energy(problem):
     """Energy of the exact solution: the constant flux makes it 2*C*B exactly."""
-    return 2.0 * problem.C * problem.B
+    return 2.0 * problem.exact.C * problem.B
 
 
 def _error_partition(mesh, layer_halfwidth):
@@ -91,7 +88,7 @@ def solution_errors(u_h, problem):
     element.
     """
     mesh = u_h.mesh
-    layer = max(problem.a, 1e-6)
+    layer = max(problem.exact.a, 1e-6)
     samples, _ = volume_samples(Mesh1D(_error_partition(mesh, layer)), 8)
     xq, wq = samples.xs, samples.weights
     du = u_h(xq) - problem.exact.u(xq)
@@ -117,13 +114,13 @@ _XI_SAMPLES = {
 
 def key_value_pairs(path):
     """The (key, value) pairs of a line-oriented key=value file, in file
-    order, each side stripped; blank lines and lines starting with # are
-    skipped."""
+    order, each side stripped; a # starts a comment that runs to the end of
+    its line, and lines left blank are skipped."""
     pairs = []
     with open(path) as fh:
         for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = raw.partition("#")[0].strip()
+            if not line:
                 continue
             key, _, val = line.partition("=")
             pairs.append((key.strip(), val.strip()))
@@ -164,10 +161,12 @@ def load_problem_file(path):
         "u_D": {},
         "domain": (xl, xr),
     }
-    if "uD_left" in opts:
-        out["u_D"]["left"] = float(opts["uD_left"])
-    if "uD_right" in opts:
-        out["u_D"]["right"] = float(opts["uD_right"])
+    for key, side in (("uD_left", "left"), ("uD_right", "right")):
+        if key in opts:
+            try:
+                out["u_D"][side] = float(opts[key])
+            except ValueError:
+                raise ValueError(f"{key} = {opts[key]!r} is not a number") from None
     return out
 
 

@@ -11,15 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .broken import (BrokenFunction, _face_weight_values, broken_seminorm, gradient_samples,
-                     volume_samples)
-from .exponents import WeightedSampleSet, luxemburg_norm
+from .broken import BrokenFunction, broken_seminorm, gradient_samples, volume_samples
+from .exponents import luxemburg_norm
 from .quadrature import gauss_legendre
 
 __all__ = [
     "node_projections",
     "reconstruct",
-    "local_seminorm",
     "reconstruction_error_report",
     "mean_bound_check",
 ]
@@ -51,20 +49,6 @@ def reconstruct(u):
     pz = node_projections(u)
     coeffs = np.column_stack([pz[:-1], pz[1:]])
     return BrokenFunction(u.mesh, 1, coeffs, continuous=True)
-
-
-def local_seminorm(u, p, element):
-    """Patch seminorm over T_kappa, the element and its neighbours: gradient norm
-    there plus its weighted face jumps."""
-    lo, hi = max(element - 1, 0), min(element + 2, u.mesh.n_elements)
-    g = u.degree + 2
-    vol, gvals = gradient_samples(u, g)
-    patch = slice(lo * g, hi * g)
-    out = luxemburg_norm(WeightedSampleSet(vol.xs[patch], vol.weights[patch]), gvals[patch], p)
-    # face f sits between elements f and f+1; a weighted single-point counting
-    # norm is just the absolute value
-    _, fvals = _face_weight_values(u, p)
-    return out + float(np.sum(np.abs(fvals[max(lo - 1, 0):hi])))
 
 
 @dataclass(frozen=True)

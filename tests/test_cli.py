@@ -12,7 +12,11 @@ import pxdg
 from pxdg import cli
 from pxdg.broken import dof_points
 from pxdg.cli import main
+from pxdg.exponents import ExponentField
 from pxdg.meshes import Mesh1D, uniform_mesh
+from pxdg.problems import load_problem_file
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 @pytest.fixture()
@@ -104,6 +108,23 @@ def test_every_export_resolves():
     assert modules[1:] and not stale
 
 
+def test_readme_examples_parse_and_load(tmp_path):
+    with open(README) as fh:
+        text = fh.read()
+    block = text.split("## Command line")[1].split("```")[1]
+    commands = [line.partition("#")[0].replace("[", "").replace("]", "").split()
+                for line in block.splitlines() if line.startswith("pxdg ")]
+    parser, _ = cli._build_parser()
+    assert [parser.parse_args(argv[1:]).command for argv in commands] == [
+        "solve", "solve", "solve", "convergence", "compare", "exact", "properties"]
+    spec = tmp_path / "readme.spec"
+    spec.write_text(text.split("Custom problems are")[1].split("```")[1])
+    opts = load_problem_file(spec)
+    assert opts["p"] == ExponentField.hat_family(0.01, 0.01)
+    assert (opts["u_D"], opts["dirichlet"], opts["fidelity_on"], opts["domain"]) == (
+        {"left": -1.0, "right": 1.0}, "both", False, (-1.0, 1.0))
+
+
 def test_compare_small(tmp_path):
     out = str(tmp_path / "cmp")
     code = main(["compare", "--n", "10", "--out", out, "--tol", "1e-7"])
@@ -180,7 +201,8 @@ def test_unknown_suite_is_config_error():
 
 def test_unknown_problem_is_config_error(tmp_path, capsys):
     # an unknown problem name, an unknown xi, an exponent field missing a key or
-    # with a token that has no '=', and a domain that is not two numbers
+    # with a token that has no '=', a domain that is not two numbers, and values
+    # that are not numbers or not a dirichlet tag
     bad_xi = tmp_path / "bad_xi.spec"
     bad_xi.write_text("p = kind=const value=2\nxi = bogus\n")
     no_a = tmp_path / "no_a.spec"
@@ -193,10 +215,19 @@ def test_unknown_problem_is_config_error(tmp_path, capsys):
     one_end.write_text("p = kind=const value=2\ndomain = 1\n")
     three_ends = tmp_path / "three_ends.spec"
     three_ends.write_text("p = kind=const value=2\ndomain = -1,0,1\n")
+    bad_ud = tmp_path / "bad_ud.spec"
+    bad_ud.write_text("p = kind=const value=2\nuD_left = abc\n")
+    bad_value = tmp_path / "bad_value.spec"
+    bad_value.write_text("p = kind=const value=abc\n")
+    bad_tag = tmp_path / "bad_tag.spec"
+    bad_tag.write_text("p = kind=const value=2\ndirichlet = bogus\n")
     for problem, named in (("wat", "'wat'"), (f"custom:{bad_xi}", "'bogus'"),
                            (f"custom:{no_a}", "'a'"), (f"custom:{bad_fidelity}", "'yes'"),
                            (f"custom:{no_equals}", "'2'"), (f"custom:{one_end}", "domain"),
-                           (f"custom:{three_ends}", "domain")):
+                           (f"custom:{three_ends}", "domain"),
+                           (f"custom:{bad_ud}", "uD_left = 'abc'"),
+                           (f"custom:{bad_value}", "value='abc'"),
+                           (f"custom:{bad_tag}", "'bogus'")):
         assert main(["solve", "--method", "dg", "--n", "4",
                      "--problem", problem, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
@@ -215,7 +246,7 @@ def test_degree_the_quadrature_cannot_see_is_config_error(tmp_path, capsys):
 
 def test_config_file_with_flag_precedence(tmp_path, const2_spec):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(f"problem = custom:{const2_spec}\nn = 8\nmax-iters = 50\n")
+    cfgfile.write_text(f"problem = custom:{const2_spec}\nn = 8\nmax-iters = 50  # a comment\n")
     out = str(tmp_path / "run")
     # --n on the command line wins over the file's n = 8
     code = main(["solve", "--method", "dg", "--n", "4", "--config", str(cfgfile),
@@ -341,6 +372,13 @@ def test_cg_of_degree_zero_is_config_error(tmp_path, capsys):
                  "--out", str(tmp_path / "run")]) == cli.EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("config error") and "k >= 1" in err
+
+
+def test_dg_of_negative_degree_is_config_error(tmp_path, capsys):
+    assert main(["solve", "--k", "-1", "--n", "10",
+                 "--out", str(tmp_path / "run")]) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "DG needs degree k >= 0, got -1" in err
 
 
 def test_unconverged_custom_reference_fails_the_sweep(tmp_path, const2_spec, capsys,

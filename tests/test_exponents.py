@@ -35,7 +35,21 @@ def test_bounds_on_dense_grid():
     xs = np.linspace(-1, 1, 4001)
     p = HAT(xs)
     assert np.all(p >= HAT.p1) and np.all(p <= HAT.p2)
-    assert HAT(HAT.a) == 2.0 and HAT(-HAT.a) == 2.0
+    assert HAT(0.01) == 2.0 and HAT(-0.01) == 2.0
+
+
+def test_hat_matches_its_closed_form():
+    # 2 - (1-eps)(1 - min(|x|,a)/a) rounds differently from the interpolant: within
+    # 2 ulps, and equal beyond the kinks; the dip is the rounded 1 + eps = p1
+    rng = np.random.default_rng(0)
+    for eps, a in rng.uniform(0.001, 0.99, size=(50, 2)):
+        field = ExponentField.hat_family(eps, a)
+        x = np.concatenate([rng.uniform(-1, 1, 200), rng.uniform(-a, a, 200), [-a, a]])
+        closed = 2.0 - (1.0 - eps) * (1.0 - np.minimum(np.abs(x), a) / a)
+        assert np.all(np.abs(field(x) - closed) <= 2 * np.spacing(closed))
+        outside = np.abs(x) >= a
+        assert np.array_equal(field(x[outside]), closed[outside])
+        assert field(0.0) == 1.0 + eps == field.p1
 
 
 def test_neg_inv_conjugate_handles_p_equal_one():
