@@ -44,7 +44,7 @@ def hat_fidelity_problem(n):
     """p down to 1.01 at the origin, q = r = 3 fidelity, Dirichlet left, Neumann right."""
     p3 = ExponentField.constant(3.0)
     return FunctionalSpec(uniform_mesh(-1, 1, n, "left"), ExponentField.hat_family(0.01, 0.01),
-                          q=p3, r=p3, xi=np.cos, fidelity_on=True, u_D={"left": -1.0})
+                          q=p3, r=p3, xi=np.cos, u_D={"left": -1.0})
 
 
 def corpus():

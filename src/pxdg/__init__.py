@@ -6,7 +6,7 @@ from .broken import BrokenFunction, broken_seminorm, elementwise_gradient, inter
 from .exact import ExactSolution, build_exact
 from .exponents import ExponentField, WeightedSampleSet, luxemburg_norm, modular
 from .functional import FunctionalSpec, TermBreakdown, eval_discrete
-from .lifting import LiftingConfig, lift
+from .lifting import lift
 from .meshes import Mesh1D, refine, uniform_mesh
 from .optimize import BfgsConfig, SolveReport, solve_cg, solve_dg
 from .problems import benchmark_mesh, paper1d, reference_energy, solution_errors
@@ -17,7 +17,7 @@ __all__ = [
     "ExactSolution", "build_exact",
     "ExponentField", "WeightedSampleSet", "luxemburg_norm", "modular",
     "FunctionalSpec", "TermBreakdown", "eval_discrete",
-    "LiftingConfig", "lift",
+    "lift",
     "Mesh1D", "refine", "uniform_mesh",
     "BfgsConfig", "SolveReport", "solve_cg", "solve_dg",
     "benchmark_mesh", "paper1d", "reference_energy", "solution_errors",

@@ -72,7 +72,6 @@ class BrokenFunction:
     mesh: object
     degree: int
     coeffs: np.ndarray
-    continuous: bool = False
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
@@ -80,9 +79,6 @@ class BrokenFunction:
         if c.shape != (ne, self.degree + 1):
             raise ValueError(f"coeffs must have shape ({ne}, {self.degree + 1})")
         object.__setattr__(self, "coeffs", c)
-        if self.continuous and self.degree >= 1:
-            if np.any(c[:-1, -1] != c[1:, 0]):
-                raise ValueError("continuous flag set but interior traces differ")
 
     @property
     def n_dofs(self):
@@ -92,10 +88,9 @@ class BrokenFunction:
         return self.coeffs.ravel().copy()
 
     @staticmethod
-    def from_dofs(mesh, degree, dofs, continuous=False):
+    def from_dofs(mesh, degree, dofs):
         ne = mesh.n_elements
-        return BrokenFunction(mesh, degree, np.asarray(dofs, float).reshape(ne, degree + 1),
-                              continuous)
+        return BrokenFunction(mesh, degree, np.asarray(dofs, float).reshape(ne, degree + 1))
 
     def values_at_ref(self, ref_points):
         """Values on every element at the given reference points; shape (ne, nq)."""
@@ -116,11 +111,13 @@ def dof_points(mesh, degree):
 
 
 def interpolate(mesh, degree, fn, continuous=False):
-    """Nodal interpolant of a callable at the element-local Gauss-Lobatto nodes."""
+    """Nodal interpolant of a callable at the element-local Gauss-Lobatto nodes;
+    ``continuous`` gives each element's left trace the value of its left
+    neighbour's right trace, so that every jump is 0."""
     vals = np.asarray(fn(dof_points(mesh, degree)), dtype=float)
     if continuous:
         vals[1:, 0] = vals[:-1, -1]
-    return BrokenFunction(mesh, degree, vals, continuous)
+    return BrokenFunction(mesh, degree, vals)
 
 
 def evaluate(u, x, side="left"):
@@ -225,4 +222,4 @@ def embed_refine(u):
     right = _eval_matrix(u.degree, 0.5 * (t + 1.0))
     coeffs[0::2] = u.coeffs @ left.T
     coeffs[1::2] = u.coeffs @ right.T
-    return BrokenFunction(fine, u.degree, coeffs, u.continuous)
+    return BrokenFunction(fine, u.degree, coeffs)

@@ -38,10 +38,15 @@ class ExponentField:
     xs: tuple
     vals: tuple
 
+    def __post_init__(self):
+        xs = self.xs
+        if not (all(map(math.isfinite, xs)) and all(a < b for a, b in zip(xs, xs[1:]))):
+            raise ValueError(f"breakpoints {xs} must be finite and strictly increasing")
+        if not all(math.isfinite(v) and v >= 1.0 for v in self.vals):
+            raise ValueError(f"exponent values {self.vals} must be finite and >= 1")
+
     @staticmethod
     def constant(value, domain=(-math.inf, math.inf)):
-        if value < 1.0:
-            raise ValueError("exponent must satisfy p >= 1")
         return ExponentField(tuple(domain), (0.0,), (float(value),))
 
     @staticmethod
@@ -59,10 +64,6 @@ class ExponentField:
         vals = tuple(float(v) for v in vals)
         if len(xs) != len(vals) or len(xs) < 2:
             raise ValueError("need matching breakpoints and values, at least two")
-        if any(x1 >= x2 for x1, x2 in zip(xs, xs[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        if min(vals) < 1.0:
-            raise ValueError("exponent must satisfy p >= 1")
         return ExponentField((xs[0], xs[-1]), xs, vals)
 
     @property
@@ -96,10 +97,15 @@ class ExponentField:
 
     @staticmethod
     def from_text(text):
+        kv = {}
         for tok in text.split():
             if "=" not in tok:
                 raise ValueError(f"exponent field spec {text!r}: the token {tok!r} has no '='")
-        kv = dict(tok.split("=", 1) for tok in text.split())
+            key, val = tok.split("=", 1)
+            if key in kv:
+                raise ValueError(f"exponent field spec {text!r}: the key {key!r} "
+                                 "appears more than once")
+            kv[key] = val
 
         def read(key, parse):
             if key not in kv:

@@ -9,7 +9,7 @@ list is, in this order:
 
     volume     A = G + R(.)  lifted gradient at quadrature points, w = w_q, s = p(x_q)
     fidelity   A = V  values at quadrature points, b = xi(x_q), w = w_q, s = q(x_q)
-               (only when fidelity is on)
+               (only when xi is given)
     Dirichlet  A = the end DOF, b = u_D, w = h^{1-p}, s = p     (one term per face)
     jumps      A = [v] at interior faces, w = h^{1-p}, s = p(x_f)
     Neumann    A = the end DOF, s = r                            (one term per face)
@@ -51,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .broken import BrokenFunction, _basis, _eval_matrix, dof_points, elementwise_gradient
-from .lifting import LiftingConfig, lift, lift_matrix
+from .lifting import lift, lift_matrix
 from .quadrature import composite_points, reference_rule
 
 __all__ = [
@@ -85,9 +85,10 @@ class TermBreakdown:
 class FunctionalSpec:
     """Everything needed to evaluate the energy on one mesh.
 
-    u_D maps "left"/"right" to Dirichlet values; xi is a callable sampled at
-    quadrature points when fidelity is on; quadrature is ("trapezoid", panels)
-    or ("gauss", points).
+    u_D maps "left"/"right" to Dirichlet values; xi, if given, is a callable
+    sampled at quadrature points, and turns the fidelity term on; quadrature is
+    ("trapezoid", panels) or ("gauss", points); lifting is the degree l of R
+    (default: the degree of the broken functions).
     """
 
     mesh: object
@@ -95,22 +96,21 @@ class FunctionalSpec:
     q: object = None
     r: object = None
     xi: object = None
-    fidelity_on: bool = False
     u_D: dict = field(default_factory=dict)
     quadrature: tuple = ("trapezoid", 1)
-    lifting: LiftingConfig = None
+    lifting: int = None
     normalize_by_exponent: bool = False
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p.p1 <= 1.0:
             raise ValueError("the energy needs inf p > 1")
-        if self.fidelity_on:
-            if self.q is None or self.xi is None:
-                raise ValueError("fidelity needs q and xi")
+        if self.xi is not None:
+            if self.q is None:
+                raise ValueError("fidelity (xi given) needs the exponent q")
             if self.q.p1 <= 1.0:
                 raise ValueError("fidelity exponent must satisfy inf q > 1")
-        if self.mesh.neumann_left or self.mesh.neumann_right:
+        if not (self.mesh.dirichlet_left and self.mesh.dirichlet_right):
             if self.r is None:
                 raise ValueError("Neumann faces need the exponent r")
             if self.r.p1 <= 1.0:
@@ -119,9 +119,7 @@ class FunctionalSpec:
             raise ValueError("missing left Dirichlet value")
         if self.mesh.dirichlet_right and "right" not in self.u_D:
             raise ValueError("missing right Dirichlet value")
-        kind, order = self.quadrature
-        if kind not in ("trapezoid", "gauss") or order < 1:
-            raise ValueError(f"bad quadrature {self.quadrature!r}")
+        reference_rule(*self.quadrature)
 
 
 def _power(t, s):
@@ -237,11 +235,11 @@ class _Assembly:
         if not continuous:
             # the lifted jumps at the quadrature points: R(v) = EK[..., 0] [v]_left
             # + EK[..., 1] [v]_right, with EK[e, q, :] = sum_j El[q, j] K[e, j, :]
-            lcfg = spec.lifting if spec.lifting is not None else LiftingConfig(degree)
-            El = _eval_matrix(lcfg.degree, rx)
-            K = lift_matrix(mesh, lcfg.degree)
+            l = spec.lifting if spec.lifting is not None else degree
+            K = lift_matrix(mesh, l)
+            El = _eval_matrix(l, rx)
             EK = El[None, :, 0, None] * K[:, None, 0]
-            for j in range(1, lcfg.degree + 1):
+            for j in range(1, l + 1):
                 EK = EK + El[None, :, j, None] * K[:, None, j]
             # a volume row reaches the DOF before and after its element; the face
             # terms vanish at boundary faces, and the clipped columns with them
@@ -256,7 +254,7 @@ class _Assembly:
         nvol = self.xq.size
         terms = [("gradient_term", nvol, volume, 0.0, self.pq, self.wq,
                   self.pq if norm else 1.0)]
-        if spec.fidelity_on:
+        if spec.xi is not None:
             qq = spec.q(self.xq)
             terms.append(("fidelity_term", nvol, _row_blocks(own, PHI),
                           np.asarray(spec.xi(self.xq), dtype=float), qq, self.wq,
@@ -430,7 +428,7 @@ class _Assembly:
     def function(self, x):
         """The BrokenFunction with the DOF vector x."""
         dofs = x[self.unique_dof] if self.continuous else x
-        return BrokenFunction.from_dofs(self.spec.mesh, self.degree, dofs, self.continuous)
+        return BrokenFunction.from_dofs(self.spec.mesh, self.degree, dofs)
 
 
 def discrete_assembly(spec, degree):

@@ -8,7 +8,6 @@ the 1/2 of the average {phi} (the neighbor trace of phi vanishes).
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .exponents import luxemburg_norm
 from .quadrature import gauss_legendre
 
 __all__ = [
-    "LiftingConfig",
     "ZeroJumpsError",
     "lift",
     "lift_matrix",
@@ -28,17 +26,6 @@ __all__ = [
 
 class ZeroJumpsError(ValueError):
     """Ratio checks are undefined when every jump vanishes."""
-
-
-@dataclass(frozen=True)
-class LiftingConfig:
-    """Image-space degree l >= 0."""
-
-    degree: int = 1
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("lifting degree must be >= 0")
 
 
 @functools.lru_cache(maxsize=None)
@@ -55,8 +42,10 @@ def lift_matrix(mesh, l):
 
     K[e, :, 0] and K[e, :, 1] are the coefficients on element e of the lifting
     of a unit jump at its left and its right face; they are zero where that face
-    is on the boundary.
+    is on the boundary.  Raises ``ValueError`` for l < 0.
     """
+    if l < 0:
+        raise ValueError(f"lifting degree must be >= 0, got {l}")
     h = mesh.element_sizes
     Minv = _reference_mass_inverse(l)
     K = -(1.0 / h)[:, None, None] * Minv[None, :, [0, l]]
@@ -65,9 +54,9 @@ def lift_matrix(mesh, l):
     return K
 
 
-def lift(u, cfg=None):
-    """R(u) as a broken function of degree cfg.degree (default: same degree as u)."""
-    l = (cfg.degree if cfg is not None else u.degree)
+def lift(u, l=None):
+    """R(u) as a broken function of degree l (default: the degree of u)."""
+    l = u.degree if l is None else l
     if u.mesh.n_elements < 2:
         raise ValueError("mesh has no interior face")
     K = lift_matrix(u.mesh, l)

@@ -72,14 +72,6 @@ class Mesh1D:
         return self.dirichlet in ("both", "right")
 
     @property
-    def neumann_left(self):
-        return not self.dirichlet_left
-
-    @property
-    def neumann_right(self):
-        return not self.dirichlet_right
-
-    @property
     def max_h(self):
         return float(np.max(self.element_sizes))
 

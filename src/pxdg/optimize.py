@@ -402,7 +402,7 @@ def _check_dg_quadrature(spec, k):
     on each element.  A rule with fewer points than it has coefficients leaves
     part of it unseen, and the minimizer of the discrete energy can then lie far
     below the continuous one; evaluating the energy with such a rule is fine."""
-    l = spec.lifting.degree if spec.lifting is not None else k
+    l = spec.lifting if spec.lifting is not None else k
     need = max(k - 1, l) + 1
     points = reference_rule(*spec.quadrature)[0].size
     if points < need:

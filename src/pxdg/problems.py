@@ -9,7 +9,6 @@ from .broken import elementwise_gradient, volume_samples
 from .exact import build_exact
 from .exponents import ExponentField, luxemburg_norm
 from .functional import FunctionalSpec
-from .lifting import LiftingConfig
 from .meshes import Mesh1D, uniform_mesh
 
 __all__ = ["PaperProblem", "paper1d", "benchmark_mesh", "dg_spec", "cg_spec",
@@ -51,9 +50,8 @@ def benchmark_mesh(n, dirichlet="both"):
 
 
 def dg_spec(problem, mesh, quadrature=("trapezoid", 1), l=None):
-    lifting = LiftingConfig(l) if l is not None else None
     return FunctionalSpec(mesh, problem.p, u_D=dict(problem.u_D),
-                          quadrature=quadrature, lifting=lifting)
+                          quadrature=quadrature, lifting=l)
 
 
 def cg_spec(problem, mesh, quadrature=("trapezoid", 1)):
@@ -115,7 +113,7 @@ _XI_SAMPLES = {
 def key_value_pairs(path):
     """The (key, value) pairs of a line-oriented key=value file, in file
     order, each side stripped; a # starts a comment that runs to the end of
-    its line, and lines left blank are skipped."""
+    its line, and lines left blank are skipped.  A key may appear only once."""
     pairs = []
     with open(path) as fh:
         for raw in fh:
@@ -123,7 +121,10 @@ def key_value_pairs(path):
             if not line:
                 continue
             key, _, val = line.partition("=")
-            pairs.append((key.strip(), val.strip()))
+            key = key.strip()
+            if key in (seen for seen, _ in pairs):
+                raise ValueError(f"the key {key!r} appears more than once in {path}")
+            pairs.append((key, val.strip()))
     return pairs
 
 
@@ -132,7 +133,9 @@ def load_problem_file(path):
 
     Recognized keys: p, q, r (exponent field text), uD_left, uD_right,
     dirichlet (both|left|right|none), fidelity (on|off), xi (none|zero|sin),
-    domain (xl,xr).  Unknown keys are an error.
+    domain (xl,xr).  Unknown keys are an error, and so is fidelity = on
+    without q or without an xi other than none.  The returned xi is None
+    when fidelity is off.
     """
     opts = dict(key_value_pairs(path))
     known = {"p", "q", "r", "uD_left", "uD_right", "dirichlet", "fidelity", "xi", "domain"}
@@ -147,6 +150,8 @@ def load_problem_file(path):
     fidelity = opts.get("fidelity", "off")
     if fidelity not in ("on", "off"):
         raise ValueError(f"unknown fidelity {fidelity!r}; expected one of ['off', 'on']")
+    if fidelity == "on" and ("q" not in opts or _XI_SAMPLES[xi] is None):
+        raise ValueError("fidelity = on needs the exponent q and an xi other than none")
     try:
         xl, xr = (float(t) for t in opts.get("domain", "-1,1").split(","))
     except ValueError:
@@ -156,8 +161,7 @@ def load_problem_file(path):
         "q": ExponentField.from_text(opts["q"]) if "q" in opts else None,
         "r": ExponentField.from_text(opts["r"]) if "r" in opts else None,
         "dirichlet": opts.get("dirichlet", "both"),
-        "fidelity_on": fidelity == "on",
-        "xi": _XI_SAMPLES[xi],
+        "xi": _XI_SAMPLES[xi] if fidelity == "on" else None,
         "u_D": {},
         "domain": (xl, xr),
     }
@@ -171,8 +175,6 @@ def load_problem_file(path):
 
 
 def custom_spec(opts, mesh, quadrature=("trapezoid", 1), l=None, normalize=False):
-    lifting = LiftingConfig(l) if l is not None else None
     return FunctionalSpec(mesh, opts["p"], q=opts["q"], r=opts["r"], xi=opts["xi"],
-                          fidelity_on=opts["fidelity_on"], u_D=dict(opts["u_D"]),
-                          quadrature=quadrature, lifting=lifting,
+                          u_D=dict(opts["u_D"]), quadrature=quadrature, lifting=l,
                           normalize_by_exponent=normalize)

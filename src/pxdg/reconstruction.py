@@ -48,7 +48,7 @@ def reconstruct(u):
     """The continuous degree-1 function with nodal values mean_{T_z}(u)."""
     pz = node_projections(u)
     coeffs = np.column_stack([pz[:-1], pz[1:]])
-    return BrokenFunction(u.mesh, 1, coeffs, continuous=True)
+    return BrokenFunction(u.mesh, 1, coeffs)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from pxdg.exponents import (
     luxemburg_norm,
 )
 from pxdg.functional import FunctionalSpec, discrete_assembly
-from pxdg.lifting import LiftingConfig, lift, lifting_bound_ratio, verify_weak_identity
+from pxdg.lifting import lift, lifting_bound_ratio, verify_weak_identity
 from pxdg.meshes import Mesh1D, refine, uniform_mesh
 from pxdg.optimize import BfgsConfig, solve_cg, solve_dg
 from pxdg.problems import (
@@ -142,9 +142,9 @@ def test_criterion_4_gradient_correctness(prob):
     specs = [
         FunctionalSpec(mesh, p2, u_D={"left": -1.0, "right": 1.0}),
         FunctionalSpec(mesh, prob.p, u_D={"left": -1.0, "right": 1.0},
-                       lifting=LiftingConfig(1)),
+                       lifting=1),
         FunctionalSpec(mesh, ExponentField.piecewise_linear([-1, 0, 1], [1.3, 2.5, 1.7]),
-                       q=p2, xi=lambda x: np.sin(np.pi * x), fidelity_on=True,
+                       q=p2, xi=lambda x: np.sin(np.pi * x),
                        u_D={"left": 0.0, "right": 1.0}),
     ]
     worst = max(_directional_fd_worst(discrete_assembly(s, 1), rng, 100) for s in specs)
@@ -163,14 +163,14 @@ def test_criterion_5_lifting_correctness():
         mesh = uniform_mesh(-1.0, 1.0, n)
         k = int(rng.integers(1, 4))
         u = BrokenFunction(mesh, k, rng.normal(size=(n, k + 1)))
-        R = lift(u, LiftingConfig(int(rng.integers(0, 3))))
+        R = lift(u, int(rng.integers(0, 3)))
         worst = max(worst, verify_weak_identity(u, R)
                     / (1.0 + float(np.max(np.abs(u.coeffs)))))
     a_ok = worst <= 1e-12
 
     mesh2 = Mesh1D(np.array([0.0, 1.0, 2.0]))
     u2 = BrokenFunction(mesh2, 1, np.array([[0.0, 0.0], [1.0, 1.0]]))
-    R2 = lift(u2, LiftingConfig(1))
+    R2 = lift(u2, 1)
     b_ok = (np.max(np.abs(R2.coeffs - np.array([[-1.0, 2.0], [2.0, -1.0]]))) <= 1e-13)
 
     cont = interpolate(uniform_mesh(-1, 1, 6), 2, lambda x: np.cos(x), continuous=True)

@@ -151,8 +151,3 @@ def test_embed_refine_reproduces_values():
     for x in (-0.8, -0.2, 0.4, 0.9):
         assert evaluate(gr, x) == pytest.approx(evaluate(gu, x), abs=1e-12)
 
-
-def test_continuous_flag_validation():
-    m = uniform_mesh(0, 1, 2)
-    with pytest.raises(ValueError):
-        BrokenFunction(m, 1, np.array([[0.0, 1.0], [2.0, 3.0]]), continuous=True)

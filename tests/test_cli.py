@@ -121,8 +121,8 @@ def test_readme_examples_parse_and_load(tmp_path):
     spec.write_text(text.split("Custom problems are")[1].split("```")[1])
     opts = load_problem_file(spec)
     assert opts["p"] == ExponentField.hat_family(0.01, 0.01)
-    assert (opts["u_D"], opts["dirichlet"], opts["fidelity_on"], opts["domain"]) == (
-        {"left": -1.0, "right": 1.0}, "both", False, (-1.0, 1.0))
+    assert (opts["u_D"], opts["dirichlet"], opts["xi"], opts["domain"]) == (
+        {"left": -1.0, "right": 1.0}, "both", None, (-1.0, 1.0))
 
 
 def test_compare_small(tmp_path):
@@ -201,8 +201,9 @@ def test_unknown_suite_is_config_error():
 
 def test_unknown_problem_is_config_error(tmp_path, capsys):
     # an unknown problem name, an unknown xi, an exponent field missing a key or
-    # with a token that has no '=', a domain that is not two numbers, and values
-    # that are not numbers or not a dirichlet tag
+    # with a token that has no '=', a domain that is not two numbers, values
+    # that are not numbers or not a dirichlet tag, exponents that are not finite,
+    # a key given twice, and fidelity on without xi or q
     bad_xi = tmp_path / "bad_xi.spec"
     bad_xi.write_text("p = kind=const value=2\nxi = bogus\n")
     no_a = tmp_path / "no_a.spec"
@@ -221,13 +222,32 @@ def test_unknown_problem_is_config_error(tmp_path, capsys):
     bad_value.write_text("p = kind=const value=abc\n")
     bad_tag = tmp_path / "bad_tag.spec"
     bad_tag.write_text("p = kind=const value=2\ndirichlet = bogus\n")
+    nan_value = tmp_path / "nan_value.spec"
+    nan_value.write_text("p = kind=const value=nan\n")
+    inf_value = tmp_path / "inf_value.spec"
+    inf_value.write_text("p = kind=const value=inf\n")
+    nan_break = tmp_path / "nan_break.spec"
+    nan_break.write_text("p = kind=pwl xs=-1,nan vals=2,3\n")
+    twice = tmp_path / "twice.spec"
+    twice.write_text("p = kind=const value=2\np = kind=const value=3\n")
+    twice_in_p = tmp_path / "twice_in_p.spec"
+    twice_in_p.write_text("p = kind=const value=2 value=3\n")
+    no_xi = tmp_path / "no_xi.spec"
+    no_xi.write_text("p = kind=const value=2\nq = kind=const value=2\nfidelity = on\n")
+    no_q = tmp_path / "no_q.spec"
+    no_q.write_text("p = kind=const value=2\nxi = sin\nfidelity = on\n")
     for problem, named in (("wat", "'wat'"), (f"custom:{bad_xi}", "'bogus'"),
                            (f"custom:{no_a}", "'a'"), (f"custom:{bad_fidelity}", "'yes'"),
                            (f"custom:{no_equals}", "'2'"), (f"custom:{one_end}", "domain"),
                            (f"custom:{three_ends}", "domain"),
                            (f"custom:{bad_ud}", "uD_left = 'abc'"),
                            (f"custom:{bad_value}", "value='abc'"),
-                           (f"custom:{bad_tag}", "'bogus'")):
+                           (f"custom:{bad_tag}", "'bogus'"),
+                           (f"custom:{nan_value}", "nan"), (f"custom:{inf_value}", "inf"),
+                           (f"custom:{nan_break}", "nan"), (f"custom:{twice}", "'p'"),
+                           (f"custom:{twice_in_p}", "'value'"),
+                           (f"custom:{no_xi}", "fidelity = on"),
+                           (f"custom:{no_q}", "fidelity = on")):
         assert main(["solve", "--method", "dg", "--n", "4",
                      "--problem", problem, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
@@ -299,6 +319,18 @@ def test_unparsable_config_value_is_config_error(tmp_path, const2_spec, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("config error") and "max_iters" in err and "'abc'" in err
+
+
+def test_config_key_given_twice_is_config_error(tmp_path, capsys):
+    # the last value would win silently, and this one would run to convergence
+    cfgfile = tmp_path / "twice.cfg"
+    cfgfile.write_text("max-iters = 1\nmax-iters = 500\n")
+    code = main(["solve", "--n", "10", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'max-iters'" in err
+    assert not os.path.exists(tmp_path / "run")
 
 
 def test_config_value_outside_the_flag_choices_is_config_error(tmp_path, const2_spec, capsys):
@@ -375,10 +407,13 @@ def test_cg_of_degree_zero_is_config_error(tmp_path, capsys):
 
 
 def test_dg_of_negative_degree_is_config_error(tmp_path, capsys):
-    assert main(["solve", "--k", "-1", "--n", "10",
-                 "--out", str(tmp_path / "run")]) == cli.EXIT_CONFIG_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and "DG needs degree k >= 0, got -1" in err
+    for flag, named in (("--k", "DG needs degree k >= 0, got -1"),
+                        ("--l", "lifting degree must be >= 0, got -1")):
+        assert main(["solve", flag, "-1", "--n", "10",
+                     "--out", str(tmp_path / "run")]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and named in err
+        assert not os.path.exists(tmp_path / "run")
 
 
 def test_unconverged_custom_reference_fails_the_sweep(tmp_path, const2_spec, capsys,

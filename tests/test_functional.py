@@ -14,7 +14,7 @@ from pxdg.functional import (
     discrete_assembly,
     eval_discrete,
 )
-from pxdg.lifting import LiftingConfig, lift
+from pxdg.lifting import lift
 from pxdg.meshes import Mesh1D, uniform_mesh
 from pxdg.optimize import TAIL_UNKNOWNS, _band_solve, _block_index
 from pxdg.problems import benchmark_mesh, cg_spec, dg_spec, paper1d
@@ -69,7 +69,7 @@ def test_zero_candidate_pays_boundary_penalty():
 def test_single_jump_with_degree0_lifting_closed_form():
     mesh = uniform_mesh(0, 1, 2)
     spec = FunctionalSpec(mesh, P2, u_D={"left": 0.0, "right": 1.0},
-                          lifting=LiftingConfig(0))
+                          lifting=0)
     v = BrokenFunction(mesh, 1, np.array([[0.0, 0.0], [1.0, 1.0]]))
     bd = eval_discrete(v, spec)
     # jump -1 at the face: penalty |J|^2 h^{-1} = 2; lifted gradient +-1 per element
@@ -96,7 +96,7 @@ def test_continuous_examples():
     spec_norm = make_spec(mesh, normalize_by_exponent=True)
     assert eval_continuous(v, spec_norm).total == pytest.approx(1.0, rel=1e-14)
     xi = lambda x: np.cos(x)
-    spec_fid = make_spec(mesh, q=P2, xi=xi, fidelity_on=True, quadrature=("gauss", 6))
+    spec_fid = make_spec(mesh, q=P2, xi=xi, quadrature=("gauss", 6))
     w = interpolate(mesh, 3, xi, continuous=True)
     assert eval_continuous(w, spec_fid).fidelity_term < 1e-9
 
@@ -114,7 +114,7 @@ def test_spec_validation():
         FunctionalSpec(mesh, ExponentField.constant(1.0),
                        u_D={"left": 0.0, "right": 0.0})
     with pytest.raises(ValueError):
-        FunctionalSpec(mesh, P2, fidelity_on=True, u_D={"left": 0.0, "right": 0.0})
+        FunctionalSpec(mesh, P2, xi=np.cos, u_D={"left": 0.0, "right": 0.0})
     with pytest.raises(ValueError):
         FunctionalSpec(uniform_mesh(0, 1, 4, "left"), P2, u_D={"left": 0.0})
     with pytest.raises(ValueError):
@@ -185,11 +185,11 @@ def test_gradient_matches_finite_differences():
         make_spec(mesh),
         make_spec(mesh, p=HAT),
         make_spec(mesh, p=HAT, q=P2, xi=lambda x: np.sin(np.pi * x),
-                  fidelity_on=True, quadrature=("trapezoid", 2)),
+                  quadrature=("trapezoid", 2)),
         make_spec(mesh, p=HAT, normalize_by_exponent=True),
         make_spec(left, p=HAT, r=R3, u_D={"left": -1.0}),
         make_spec(left, p=HAT, r=R3, u_D={"left": -1.0}, q=HAT, xi=np.cos,
-                  fidelity_on=True, quadrature=("gauss", 3), normalize_by_exponent=True),
+                  quadrature=("gauss", 3), normalize_by_exponent=True),
     ):
         dg = discrete_assembly(spec, 1)
         cg = continuous_assembly(spec, 1)
@@ -216,10 +216,10 @@ def test_hess_is_the_jacobian_of_the_gradient():
     for spec, degree, newton in (
         (make_spec(uniform_mesh(-1, 1, 6)), 1, False),
         (make_spec(uniform_mesh(-1, 1, 5)), 2, False),
-        (make_spec(left, r=P2, u_D={"left": -1.0}, q=P2, xi=np.cos, fidelity_on=True,
+        (make_spec(left, r=P2, u_D={"left": -1.0}, q=P2, xi=np.cos,
                    quadrature=("gauss", 3)), 1, False),
         (make_spec(left, p=HAT, r=ExponentField.constant(3.0), u_D={"left": -1.0}, q=HAT,
-                   xi=np.cos, fidelity_on=True, normalize_by_exponent=True), 1, True),
+                   xi=np.cos, normalize_by_exponent=True), 1, True),
     ):
         asm = discrete_assembly(spec, degree)
         x = rng.normal(size=asm.ndof)
@@ -254,8 +254,7 @@ def dg_operator_spec(k, l, mesh=None):
     """Gauss k+1, lifting degree l, a Neumann face on the right and fidelity on."""
     mesh = mesh or uniform_mesh(-1, 1, 5, "left")
     return make_spec(mesh, p=HAT, r=ExponentField.constant(3.0), u_D={"left": -1.0},
-                     q=HAT, xi=np.cos, fidelity_on=True, quadrature=("gauss", k + 1),
-                     lifting=LiftingConfig(l))
+                     q=HAT, xi=np.cos, quadrature=("gauss", k + 1), lifting=l)
 
 
 def test_term_operator_rows_sample_the_dg_function():
@@ -271,7 +270,7 @@ def test_term_operator_rows_sample_the_dg_function():
                 gx = gauss_legendre(k + 1)[0]
                 want = {
                     "gradient_term": (elementwise_gradient(v).values_at_ref(gx)
-                                      + lift(v, LiftingConfig(l)).values_at_ref(gx)).ravel(),
+                                      + lift(v, l).values_at_ref(gx)).ravel(),
                     "fidelity_term": v.values_at_ref(gx).ravel(),
                     "dirichlet_penalty": v.coeffs[0, :1],
                     "interior_penalty": jumps(v),

@@ -4,7 +4,6 @@ import pytest
 from pxdg.broken import BrokenFunction, evaluate, interpolate, jumps
 from pxdg.exponents import ExponentField
 from pxdg.lifting import (
-    LiftingConfig,
     ZeroJumpsError,
     lift,
     lifting_bound_ratio,
@@ -30,7 +29,7 @@ def test_continuous_lifts_to_zero():
 
 def test_two_element_worked_example():
     u = two_element_example()
-    R = lift(u, LiftingConfig(1))
+    R = lift(u, 1)
     # R = 3x - 1 on [0,1] and 5 - 3x on [1,2]
     for x, want in ((0.0, -1.0), (0.5, 0.5), (1.0, 2.0)):
         assert evaluate(R, x, "left") == pytest.approx(want, abs=1e-13)
@@ -70,7 +69,7 @@ def test_weak_identity_random_inputs():
         k = int(rng.integers(1, 4))
         u = BrokenFunction(mesh, k, rng.normal(size=(n, k + 1)))
         for l in (0, 1, k):
-            R = lift(u, LiftingConfig(l))
+            R = lift(u, l)
             scale = 1.0 + float(np.max(np.abs(u.coeffs)))
             worst = max(worst, verify_weak_identity(u, R) / scale)
     assert worst <= 1e-12
@@ -126,7 +125,7 @@ def test_degree0_closed_form_matches_solver():
     rng = np.random.default_rng(2)
     mesh = Mesh1D(np.array([0.0, 0.3, 0.55, 1.0]))
     u = BrokenFunction(mesh, 2, rng.normal(size=(3, 3)))
-    R0 = lift(u, LiftingConfig(0))
+    R0 = lift(u, 0)
     closed = degree0_closed_form(u)
     assert np.allclose(R0.coeffs, closed.coeffs, rtol=1e-13, atol=1e-14)
 

@@ -12,7 +12,7 @@ def test_uniform_examples():
     m41 = uniform_mesh(-1, 1, 41, "both")
     assert m41.n_elements == 41 and abs(m41.element_sizes[0] - 2 / 41) < 1e-15
     ml = uniform_mesh(0, 1, 2, "left")
-    assert ml.dirichlet_left and not ml.dirichlet_right and ml.neumann_right
+    assert ml.dirichlet_left and not ml.dirichlet_right
 
 
 def test_uniform_rejects_small_n():

@@ -166,7 +166,7 @@ def test_exponents_above_two_converge(n):
     # can overshoot: the fidelity and Neumann terms with q = r = 3, and p = 4
     P3 = ExponentField.constant(3.0)
     fidelity = FunctionalSpec(uniform_mesh(-1, 1, n, "left"), HAT, q=P3, r=P3,
-                              xi=np.cos, fidelity_on=True, u_D={"left": -1.0})
+                              xi=np.cos, u_D={"left": -1.0})
     quartic = FunctionalSpec(uniform_mesh(-1, 1, n), ExponentField.constant(4.0),
                              u_D={"left": -1.0, "right": 1.0})
     for rep in (solve_dg(fidelity, 1), solve_cg(fidelity, 1), solve_dg(quartic, 1)):
@@ -304,7 +304,7 @@ def hat_fidelity_problem(n):
     # p down to 1.01 at the origin, q = r = 3 fidelity, Dirichlet left, Neumann right
     P3 = ExponentField.constant(3.0)
     return FunctionalSpec(uniform_mesh(-1, 1, n, "left"), ExponentField.hat_family(0.01, 0.01),
-                          q=P3, r=P3, xi=np.cos, fidelity_on=True, u_D={"left": -1.0})
+                          q=P3, r=P3, xi=np.cos, u_D={"left": -1.0})
 
 
 @pytest.mark.parametrize("n", [10, 40])
@@ -383,7 +383,7 @@ def test_cg_keeps_its_dirichlet_ends_and_moves_its_neumann_ends(dirichlet):
     P3 = ExponentField.constant(3.0)
     u_D = {"left": -0.7, "right": 1.3}
     spec = FunctionalSpec(uniform_mesh(-1, 1, 8, dirichlet), HAT, q=P3, r=P3, xi=np.cos,
-                          fidelity_on=True, u_D=u_D)
+                          u_D=u_D)
     rep = solve_cg(spec, 1)
     assert rep.converged
     c = rep.solution.coeffs

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pxdg.broken import (BrokenFunction, _face_weight_values, embed_refine, gradient_samples,
-                         interpolate)
+                         interpolate, jumps)
 from pxdg.exponents import ExponentField, WeightedSampleSet, luxemburg_norm
 from pxdg.meshes import Mesh1D, uniform_mesh
 from pxdg.reconstruction import (
@@ -73,7 +73,7 @@ def test_reconstruct_examples():
     m = uniform_mesh(0, 1, 3)
     const = interpolate(m, 1, lambda x: np.full_like(x, 5.0))
     Q = reconstruct(const)
-    assert np.max(np.abs(Q.coeffs - 5.0)) == 0.0 and Q.continuous
+    assert np.max(np.abs(Q.coeffs - 5.0)) == 0.0 and not np.any(jumps(Q))
     two = uniform_mesh(0, 1, 2)
     s = BrokenFunction(two, 1, np.array([[0.0, 0.0], [1.0, 1.0]]))
     Qs = reconstruct(s)
