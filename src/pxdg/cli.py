@@ -109,10 +109,16 @@ def _build_parser():
 
 def _apply_config_file(args, argv, parser):
     """Fill args from the --config file; each value is converted by the type of
-    the subcommand parser's action for that key and checked against its choices."""
+    the subcommand parser's action for that key and checked against its choices.
+    A key spelled with - and with _ is the same key, and may appear only once."""
     if not getattr(args, "config", None):
         return args
-    overrides = {key.replace("-", "_"): val for key, val in key_value_pairs(args.config)}
+    overrides = {}
+    for key, val in key_value_pairs(args.config):
+        name = key.replace("-", "_")
+        if name in overrides:
+            raise ValueError(f"the key {key!r} in {args.config} repeats the option {name!r}")
+        overrides[name] = val
     argv_keys = {a.lstrip("-").split("=")[0].replace("-", "_")
                  for a in argv if a.startswith("--")}
     actions = {a.dest: a for a in parser._actions}
@@ -326,6 +332,8 @@ def main(argv=None):
         args = ap.parse_args(argv)
         args = _apply_config_file(args, argv if argv is not None else sys.argv[1:],
                                   subparsers[args.command])
+        if getattr(args, "method", None) == "cg" and args.l is not None:
+            raise ValueError(f"--l {args.l}: the lifting degree is DG's; --method cg has no lifting")
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -214,14 +214,12 @@ def luxemburg_norm(samples, values, fld):
             hi = mid
     k = 0.5 * (lo + hi)
     for _ in range(3):
+        # a step past the bracket is clamped to it: where an end is the root
+        # (a constant exponent), the step lands an ulp beyond it
         r, dr = _modular_and_slope(samples, values, k, p)
         if dr == 0.0:
             break
-        step = (r - 1.0) / dr
-        knew = k - step
-        if not (lo <= knew <= hi):
-            break
-        k = knew
+        k = min(max(k - (r - 1.0) / dr, lo), hi)
     return float(k)
 
 

@@ -23,14 +23,15 @@ default, Gauss on request).
 
 The assembly stacks the terms into one row operator: every row of A couples at
 most a few neighbouring DOFs, so A is held in numpy as a fixed number of
-(column, value) entries per row, built from per-element arrays.  The value, the
-gradient A^T (w s |t|^{s-2} t / d) with t = A x - b (zero where t = 0), and the
-per-term breakdown each take one product with it (and with its transpose, held
-the same way), and sum the terms' row segments in list order.  ``hess`` gives
-A^T diag(c) A in band storage for the term weights c of ``weights``: the relaxed
-Kacanov weights w s max(|t|, eps)^{s-2} / d, or the Hessian's with the extra
-factor s - 1.  The matrix is banded, and its pattern is fixed, so one row
-operator of the same kind takes the term weights to the band.  ``duality_gap``
+(column, value) entries per row, built from per-element arrays.  A is the only
+operator the assembly stores.  The value and the per-term breakdown take one
+product A x and sum the terms' row segments in list order.  The gradient
+A^T (w s |t|^{s-2} t / d), with t = A x - b (zero where t = 0), is one scatter
+over the entries of A.  ``hess`` gives A^T diag(c) A in band storage for the
+term weights c of ``weights``: the relaxed Kacanov weights
+w s max(|t|, eps)^{s-2} / d, or the Hessian's with the extra factor s - 1.  It
+is one scatter over the pairs of entries of each row of A, each at its band
+position, and the band's pattern is read from the same positions.  ``duality_gap``
 bounds the distance of the energy to its minimum from a dual point of the
 terms, which ``dual_point`` builds from one solve with that band.  The
 conforming map U is an index array: the shared nodal value each broken DOF
@@ -168,13 +169,14 @@ class _RowOp:
         self.vals[slot, rows] = vals
         self.shape = tuple(shape)
 
-    def transpose(self):
-        real = self.vals != 0.0
-        rows = np.broadcast_to(np.arange(self.shape[0]), self.cols.shape)
-        return _RowOp(self.cols[real], rows[real], self.vals[real], self.shape[::-1])
-
     def __matmul__(self, x):
         return (self.vals * x.take(self.cols)).sum(axis=0)
+
+    def rmatvec(self, y):
+        """A^T y, as one ``np.bincount`` over the entries read row by row: each
+        column adds its products in row order, as a CSR product with A^T does."""
+        return np.bincount(self.cols.T.ravel(), (self.vals * y).T.ravel(),
+                           minlength=self.shape[1])
 
 
 def _row_blocks(cols, vals):
@@ -309,7 +311,6 @@ class _Assembly:
         if continuous:
             cols = self.unique_dof[cols]
         self.A = _RowOp(rows, cols, vals, (stops[-1], ncols))
-        self.AT = self.A.transpose()
         self.b, self.s, self.w, self.d = (
             np.concatenate([np.broadcast_to(np.asarray(term[k], dtype=float), (n,))
                             for term, n in zip(terms, sizes)])
@@ -333,7 +334,7 @@ class _Assembly:
         val = 0.0
         for part in self._term_values(power):
             val += part  # left to right; sum() compensates on Python >= 3.12
-        grad = self.AT @ (self.w * slope / self.d)
+        grad = self.A.rmatvec(self.w * slope / self.d)
         return val, grad
 
     def dual_point(self, t, c, dx):
@@ -367,38 +368,33 @@ class _Assembly:
 
     @cached_property
     def _band_map(self):
-        """(cols, vals, widths): the lower band of A^T diag(c) A, H[i + k, i] at
-        [k, i] for the n columns of A, from the products ``vals * c[cols]``.
-        These hold the m + 1 band diagonals one after another, diagonal k as a
-        (widths[k], n) row operator (see ``_RowOp``) from c to H[i + k, i]:
-        one width per diagonal, since the outer ones take fewer rows of A."""
+        """(pos, row, val): the lower band of A^T diag(c) A, H[i + k, i] at
+        [k, i] for the n columns of A, as the sum of ``val * c[row]`` over the
+        entries at the flat position ``pos = k n + i``.  There is one entry
+        for every pair (a, b) of entries of one row of A with col a >= col b:
+        k = col a - col b, i = col b and val the product of the two.  They are
+        sorted by position, then by row, so each band entry adds its products
+        in row order."""
         A = self.A
-        n = A.shape[1]
-        # every pair (a, b) of entries of one row with col a >= col b
         a, b = np.tril_indices(A.cols.shape[0])
-        real = (A.vals[a] != 0.0) & (A.vals[b] != 0.0)
-        off = (A.cols[a] - A.cols[b])[real]
+        val = A.vals[a] * A.vals[b]
+        real = val != 0.0  # padding has value 0
+        pos = ((A.cols[a] - A.cols[b]) * A.shape[1] + A.cols[b])[real]
         row = np.broadcast_to(np.arange(A.shape[0]), real.shape)[real]
-        col = A.cols[b][real]
-        val = (A.vals[a] * A.vals[b])[real]
-        diagonals = [_RowOp(col[off == k], row[off == k], val[off == k], (n, A.shape[0]))
-                     for k in range(int(off.max()) + 1)]
-        return (np.concatenate([d.cols.ravel() for d in diagonals]),
-                np.concatenate([d.vals.ravel() for d in diagonals]),
-                [d.vals.shape[0] for d in diagonals])
+        order = np.lexsort((row, pos))
+        return pos[order], row[order], val[real][order]
 
     @cached_property
     def band_blocks(self):
         """(b, s): the blocks of ``optimize._band_solve`` for the band of
         ``hess`` on the free columns, from ``_tridiagonal_blocks`` of its
-        structural pattern.  (k + 1, 1) for DG on three or more elements: a
-        volume row reaches its own element's DOFs and the one next to each of
-        its faces, so the blocks are centred on the faces.  (k, 0) for CG."""
-        _, vals, widths = self._band_map
+        structural pattern, the positions of ``_band_map``.  (k + 1, 1) for
+        DG on three or more elements: a volume row reaches its own element's
+        DOFs and the one next to each of its faces, so the blocks are centred
+        on the faces.  (k, 0) for CG."""
+        pos = self._band_map[0]
         n = self.A.shape[1]
-        ends = np.cumsum([0] + [width * n for width in widths])
-        pattern = np.array([vals[a:z].reshape(-1, n).any(axis=0)
-                            for a, z in zip(ends[:-1], ends[1:])])
+        pattern = np.bincount(pos, minlength=(pos[-1] // n + 1) * n).reshape(-1, n) > 0
         return _tridiagonal_blocks(pattern[:, self.free])
 
     def weights(self, t, eps, newton=False):
@@ -413,17 +409,13 @@ class _Assembly:
     def hess(self, c):
         """The matrix A^T diag(c) A, for the term weights c of ``weights``, as
         its lower band: an (m + 1, n) array with H[i + k, i] in row k, column
-        i.  For s <= 2 its quadratic model majorizes the energy when eps = 0;
-        at s = 2 it is the Hessian."""
-        cols, vals, widths = self._band_map
-        terms = vals * c.take(cols)
+        i, one ``np.bincount`` over the entries of ``_band_map``.  For s <= 2
+        its quadratic model majorizes the energy when eps = 0; at s = 2 it is
+        the Hessian."""
+        pos, row, val = self._band_map
         n = self.A.shape[1]
-        band = np.empty((len(widths), n))
-        start = 0
-        for k, width in enumerate(widths):
-            terms[start:start + width * n].reshape(width, n).sum(axis=0, out=band[k])
-            start += width * n
-        return band
+        size = (pos[-1] // n + 1) * n
+        return np.bincount(pos, val * c.take(row), minlength=size).reshape(-1, n)
 
     def function(self, x):
         """The BrokenFunction with the DOF vector x."""

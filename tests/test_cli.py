@@ -322,15 +322,18 @@ def test_unparsable_config_value_is_config_error(tmp_path, const2_spec, capsys):
 
 
 def test_config_key_given_twice_is_config_error(tmp_path, capsys):
-    # the last value would win silently, and this one would run to convergence
+    # the last value would win silently, and this one would run to convergence;
+    # max-iters and max_iters are the same key
     cfgfile = tmp_path / "twice.cfg"
-    cfgfile.write_text("max-iters = 1\nmax-iters = 500\n")
-    code = main(["solve", "--n", "10", "--config", str(cfgfile),
-                 "--out", str(tmp_path / "run")])
-    assert code == cli.EXIT_CONFIG_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and "'max-iters'" in err
-    assert not os.path.exists(tmp_path / "run")
+    for text, named in (("max-iters = 1\nmax-iters = 500\n", "'max-iters'"),
+                        ("max-iters = 1\nmax_iters = 500\n", "'max_iters'")):
+        cfgfile.write_text(text)
+        code = main(["solve", "--n", "10", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "run")])
+        assert code == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and named in err
+        assert not os.path.exists(tmp_path / "run")
 
 
 def test_config_value_outside_the_flag_choices_is_config_error(tmp_path, const2_spec, capsys):
@@ -396,6 +399,21 @@ def test_empty_sweep_is_config_error(tmp_path, const2_spec, capsys, problem):
     err = capsys.readouterr().err
     assert err.startswith("config error") and "--ns" in err
     assert not os.path.exists(tmp_path / "conv")
+
+
+def test_lifting_degree_with_cg_is_config_error(tmp_path, capsys):
+    # CG has no lifting, so --l would be ignored; compare keeps it for its DG solve
+    cfgfile = tmp_path / "cg.cfg"
+    cfgfile.write_text("l = 1\n")
+    for argv in (["solve", "--method", "cg", "--n", "10", "--l", "1"],
+                 ["convergence", "--method", "cg", "--ns", "10", "--l", "1"],
+                 ["solve", "--method", "cg", "--n", "10", "--config", str(cfgfile)]):
+        assert main([*argv, "--out", str(tmp_path / "run")]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "--l 1" in err and "cg" in err
+        assert not os.path.exists(tmp_path / "run")
+    assert main(["compare", "--n", "10", "--l", "1",
+                 "--out", str(tmp_path / "cmp")]) == cli.EXIT_OK
 
 
 def test_cg_of_degree_zero_is_config_error(tmp_path, capsys):

@@ -118,6 +118,22 @@ def test_constant_p_matches_classical_lp():
         assert abs(luxemburg_norm(s, u, fld) - classical) <= 1e-12 * max(1.0, classical)
 
 
+def test_constant_p_norm_is_the_closed_form_to_a_few_ulps():
+    # the comparison bounds put the root on an end of the bracket, where the
+    # Newton polish lands an ulp beyond it; the norm must not fall back to the
+    # bisection midpoint, which is only 1e-12 close
+    rng = np.random.default_rng(0)
+    for p in (1.5, 2.0, 3.0):
+        fld = ExponentField.constant(p)
+        for scale in (1e-3, 0.3, 1.0, 1e4):
+            for _ in range(10):
+                s = WeightedSampleSet(np.sort(rng.uniform(-1, 1, 50)), rng.uniform(0, 0.04, 50))
+                u = rng.normal(scale=scale, size=50)
+                closed = float(np.sum(s.weights * np.abs(u) ** p)) ** (1.0 / p)
+                got = luxemburg_norm(s, u, fld)
+                assert abs(got - closed) <= 4 * np.finfo(float).eps * closed, (p, scale)
+
+
 def test_modular_norm_relations_examples():
     p2 = ExponentField.constant(2.0)
     s = volume_samples(uniform_mesh(0.0, 1.0, 2), 6)[0]

@@ -289,18 +289,19 @@ def dense(op):
 
 
 def test_gradient_and_hess_match_the_dense_term_operator():
-    # DG with every lifting degree, a Neumann face and fidelity; CG with both ends
-    # pinned; two elements, where each element has one interior face and rows are
-    # padded most
+    # DG with every lifting degree, a Neumann face and fidelity, and DG k = 0,
+    # whose volume rows are the lifting alone; CG with both ends pinned; two
+    # elements, where each element has one interior face and rows are padded most
     rng = np.random.default_rng(9)
     cases = []
     for ne in (5, 2):
-        for k in (1, 2, 3):
-            for l in (0, 1, 2):
+        for k in (0, 1, 2, 3):
+            for l in (0, 1) if k == 0 else (0, 1, 2):
                 cases.append((discrete_assembly(
                     dg_operator_spec(k, l, uniform_mesh(-1, 1, ne, "left")), k), slice(None)))
-            cg = make_spec(uniform_mesh(-1, 1, ne), p=HAT, quadrature=("gauss", k + 1))
-            cases.append((continuous_assembly(cg, k), slice(1, -1)))
+            if k >= 1:
+                cg = make_spec(uniform_mesh(-1, 1, ne), p=HAT, quadrature=("gauss", k + 1))
+                cases.append((continuous_assembly(cg, k), slice(1, -1)))
     for asm, free in cases:
         A = dense(asm.A)
         assert A.shape == asm.A.shape

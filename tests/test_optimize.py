@@ -330,6 +330,7 @@ def test_duality_gap_bounds_the_energy_above_its_minimum(method):
         best = rep.breakdown.total
         asm = assembly(spec, 1)
         n, free = asm.A.shape[1], asm.free
+        A = np.column_stack([asm.A @ e for e in np.eye(n)])
 
         def gap(x, eps, newton):
             # the step and dual point of the solver's steps at the eps floor
@@ -339,7 +340,7 @@ def test_duality_gap_bounds_the_energy_above_its_minimum(method):
             dx[free] = _band_solve(asm.hess(c)[:, free], -asm.value_and_grad(x)[1][free],
                                    asm.band_blocks)
             y = asm.dual_point(t, c, dx)
-            assert np.max(np.abs((asm.AT @ y)[free])) <= 1e-10 * np.max(np.abs(y))
+            assert np.max(np.abs((A.T @ y)[free])) <= 1e-10 * np.max(np.abs(y))
             return asm.duality_gap(t, y)
 
         rng = np.random.default_rng(7)
