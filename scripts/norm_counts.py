@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Modular sums of every Luxemburg norm in one pass of each benchmark workload.
+
+Runs ``setup`` and one ``run_pass(seed=0)`` of each workload of
+``perfbench/workloads.py`` (paper-figures, dg-dense, dg-limited, const-p2),
+reading that module without editing it.  For every call of
+``exponents.luxemburg_norm`` it prints the solve it belongs to, the number of
+samples, the modular sums it took (calls of ``exponents._modular_and_slope``)
+and the norm as ``float.hex()``; a line per workload gives its norms, sums
+and sums per norm, and a last line the totals.  The output is deterministic,
+so two runs diffed check a change to the root finding bitwise.  Nothing is
+written to disk.
+
+    python3 scripts/norm_counts.py
+    python3 scripts/norm_counts.py > norms.txt
+"""
+
+import os
+import sys
+import types
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+
+from perfbench import workloads
+from pxdg import exponents
+
+
+def counting_norms(case, rows):
+    """Rebind ``luxemburg_norm`` in every pxdg module (names imported with ``from
+    .exponents import`` too) and ``_modular_and_slope`` in ``exponents``, so that
+    each norm appends (case, samples, sums, norm) to ``rows``."""
+    norm, modular_and_slope = exponents.luxemburg_norm, exponents._modular_and_slope
+    sums = [0]
+
+    def counted_sums(*args):
+        sums[0] += 1
+        return modular_and_slope(*args)
+
+    def counted_norm(samples, values, fld):
+        sums[0] = 0
+        out = norm(samples, values, fld)
+        rows.append((case.case, samples.xs.size, sums[0], out))
+        return out
+
+    exponents._modular_and_slope = counted_sums
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "pxdg" and getattr(mod, "luxemburg_norm", None) is norm:
+            mod.luxemburg_norm = counted_norm
+
+
+def main():
+    # run_pass only sets the ``case`` attribute of the tracer it is given
+    case, rows = types.SimpleNamespace(case=""), []
+    counting_norms(case, rows)
+    print(f"{'workload/solve':<32} {'samples':>7} {'sums':>5} {'norm':>24}")
+    norms = sums = 0
+    for name in workloads.BUILDERS:
+        del rows[:]
+        case.case = "setup"
+        wl = workloads.setup(name)
+        wl.run_pass(0, tracer=case)
+        for label, samples, n_sums, out in rows:
+            print(f"{name + '/' + label:<32} {samples:>7} {n_sums:>5} {out.hex():>24}")
+        n, s = len(rows), sum(r[2] for r in rows)
+        print(f"{name}: {n} norms, {s} sums, {s / max(n, 1):.1f} sums per norm")
+        norms, sums = norms + n, sums + s
+    print(f"total: {norms} norms, {sums} sums, {sums / max(norms, 1):.1f} sums per norm")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
