@@ -8,16 +8,19 @@ reading that module without editing it.  For every call of
 samples, the modular sums it took (calls of ``exponents._modular_and_slope``)
 and the norm as ``float.hex()``; a line per workload gives its norms, sums
 and sums per norm, and a last line the totals.  The output is deterministic,
-so two runs diffed check a change to the root finding bitwise.  Nothing is
-written to disk.
+so two runs diffed check a change to the root finding bitwise;
+``tests/data/norm_counts.txt`` holds it, and a test compares it with
+``lines()``.  Nothing is written to disk.
 
     python3 scripts/norm_counts.py
     python3 scripts/norm_counts.py > norms.txt
 """
 
+import contextlib
 import os
 import sys
 import types
+from unittest import mock
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
@@ -26,12 +29,14 @@ from perfbench import workloads
 from pxdg import exponents
 
 
-def counting_norms(case, rows):
-    """Rebind ``luxemburg_norm`` in every pxdg module (names imported with ``from
-    .exponents import`` too) and ``_modular_and_slope`` in ``exponents``, so that
-    each norm appends (case, samples, sums, norm) to ``rows``."""
+def lines():
+    """The header, one line per norm, a line per workload and the total line,
+    as printed.  While they run, ``luxemburg_norm`` in every pxdg module (names
+    imported with ``from .exponents import`` too) and ``_modular_and_slope`` in
+    ``exponents`` count the norms and their sums."""
     norm, modular_and_slope = exponents.luxemburg_norm, exponents._modular_and_slope
-    sums = [0]
+    # run_pass only sets the ``case`` attribute of the tracer it is given
+    case, rows, sums = types.SimpleNamespace(case=""), [], [0]
 
     def counted_sums(*args):
         sums[0] += 1
@@ -43,29 +48,29 @@ def counting_norms(case, rows):
         rows.append((case.case, samples.xs.size, sums[0], out))
         return out
 
-    exponents._modular_and_slope = counted_sums
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "pxdg" and getattr(mod, "luxemburg_norm", None) is norm:
-            mod.luxemburg_norm = counted_norm
+    out = [f"{'workload/solve':<32} {'samples':>7} {'sums':>5} {'norm':>24}"]
+    norms = total = 0
+    with contextlib.ExitStack() as patches:
+        patches.enter_context(mock.patch.object(exponents, "_modular_and_slope", counted_sums))
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "pxdg" and getattr(mod, "luxemburg_norm", None) is norm:
+                patches.enter_context(mock.patch.object(mod, "luxemburg_norm", counted_norm))
+        for name in workloads.BUILDERS:
+            del rows[:]
+            case.case = "setup"
+            wl = workloads.setup(name)
+            wl.run_pass(0, tracer=case)
+            for label, samples, n_sums, val in rows:
+                out.append(f"{name + '/' + label:<32} {samples:>7} {n_sums:>5} {val.hex():>24}")
+            n, s = len(rows), sum(r[2] for r in rows)
+            out.append(f"{name}: {n} norms, {s} sums, {s / max(n, 1):.1f} sums per norm")
+            norms, total = norms + n, total + s
+    out.append(f"total: {norms} norms, {total} sums, {total / max(norms, 1):.1f} sums per norm")
+    return out
 
 
 def main():
-    # run_pass only sets the ``case`` attribute of the tracer it is given
-    case, rows = types.SimpleNamespace(case=""), []
-    counting_norms(case, rows)
-    print(f"{'workload/solve':<32} {'samples':>7} {'sums':>5} {'norm':>24}")
-    norms = sums = 0
-    for name in workloads.BUILDERS:
-        del rows[:]
-        case.case = "setup"
-        wl = workloads.setup(name)
-        wl.run_pass(0, tracer=case)
-        for label, samples, n_sums, out in rows:
-            print(f"{name + '/' + label:<32} {samples:>7} {n_sums:>5} {out.hex():>24}")
-        n, s = len(rows), sum(r[2] for r in rows)
-        print(f"{name}: {n} norms, {s} sums, {s / max(n, 1):.1f} sums per norm")
-        norms, sums = norms + n, sums + s
-    print(f"total: {norms} norms, {sums} sums, {sums / max(norms, 1):.1f} sums per norm")
+    print("\n".join(lines()))
     return 0
 
 

@@ -16,7 +16,8 @@ hat exponent with q = r = 3 fidelity for DG and CG at 10 and 40 elements, and
 DG with ``--k 2 --l 1`` at 20, 30, ..., 80 elements.
 Counts, totals and energies are deterministic; times are not, so two runs
 diffed without the ``wall_s`` and ``band_ms`` columns, the first 117
-characters of each line, check a refactor bitwise.  Nothing is written to disk.
+characters of each line, check a refactor bitwise; ``tests/data/solver_counts.txt``
+holds them, and a test compares them with ``lines()``.  Nothing is written to disk.
 
     python3 scripts/solver_counts.py
     python3 scripts/solver_counts.py | cut -c1-117 > counts.txt
@@ -25,6 +26,7 @@ characters of each line, check a refactor bitwise.  Nothing is written to disk.
 import os
 import sys
 import time
+from unittest import mock
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
@@ -64,9 +66,10 @@ def corpus():
                BfgsConfig(max_iters=20000))
 
 
-def counting_band_solves():
-    """Count and time the calls of ``optimize._band_solve``: returns a list
-    [calls, seconds] to which each call adds."""
+def lines():
+    """The header, one line per solve of the corpus and the total line, as
+    printed.  While they run, ``optimize._band_solve`` counts and times its
+    calls."""
     band_solve, tally = optimize._band_solve, [0, 0.0]
 
     def counted(*args):
@@ -77,28 +80,28 @@ def counting_band_solves():
             tally[0] += 1
             tally[1] += time.perf_counter() - t0
 
-    optimize._band_solve = counted
-    return tally
+    out = [f"{'solve':<28} {'steps':>6} {'evals':>6} {'solves':>6} {'newton':>6} {'ls_fail':>7} "
+           f"{'stop':<18} {'gap/|E|':>10} {'energy':>22} {'wall_s':>8} {'band_ms':>8}"]
+    total = np.zeros(3, dtype=int)
+    band_ms = 0.0
+    with mock.patch.object(optimize, "_band_solve", counted):
+        for label, method, spec, k, cfg in corpus():
+            tally[:] = 0, 0.0
+            rep = (solve_dg if method == "dg" else solve_cg)(spec, k, cfg)
+            gap = "-" if rep.gap is None else f"{rep.gap / abs(rep.f_history[-1]):.3g}"
+            out.append(f"{label:<28} {rep.iterations:>6} {rep.n_evals:>6} {tally[0]:>6} "
+                       f"{rep.newton_steps:>6} {rep.line_search_failures:>7} "
+                       f"{rep.stop_reason:<18} {gap:>10} {rep.breakdown.total.hex():>22} "
+                       f"{rep.wall_time:>8.4f} {1e3 * tally[1]:>8.2f}")
+            total += (rep.iterations, rep.n_evals, tally[0])
+            band_ms += 1e3 * tally[1]
+    # band_ms in its column, past the first 117 characters
+    out.append(f"{'total':<28} {total[0]:>6} {total[1]:>6} {total[2]:>6}{'':>77} {band_ms:>8.2f}")
+    return out
 
 
 def main():
-    solves = counting_band_solves()
-    print(f"{'solve':<28} {'steps':>6} {'evals':>6} {'solves':>6} {'newton':>6} {'ls_fail':>7} "
-          f"{'stop':<18} {'gap/|E|':>10} {'energy':>22} {'wall_s':>8} {'band_ms':>8}")
-    total = np.zeros(3, dtype=int)
-    band_ms = 0.0
-    for label, method, spec, k, cfg in corpus():
-        solves[:] = 0, 0.0
-        rep = (solve_dg if method == "dg" else solve_cg)(spec, k, cfg)
-        gap = "-" if rep.gap is None else f"{rep.gap / abs(rep.f_history[-1]):.3g}"
-        print(f"{label:<28} {rep.iterations:>6} {rep.n_evals:>6} {solves[0]:>6} "
-              f"{rep.newton_steps:>6} {rep.line_search_failures:>7} {rep.stop_reason:<18} "
-              f"{gap:>10} {rep.breakdown.total.hex():>22} {rep.wall_time:>8.4f} "
-              f"{1e3 * solves[1]:>8.2f}")
-        total += (rep.iterations, rep.n_evals, solves[0])
-        band_ms += 1e3 * solves[1]
-    # band_ms in its column, past the first 117 characters
-    print(f"{'total':<28} {total[0]:>6} {total[1]:>6} {total[2]:>6}{'':>77} {band_ms:>8.2f}")
+    print("\n".join(lines()))
     return 0
 
 

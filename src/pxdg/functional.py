@@ -22,8 +22,8 @@ DOFs.  The quadrature rule is fixed by the problem setup (composite trapezoid by
 default, Gauss on request).
 
 The assembly stacks the terms into one row operator: every row of A couples at
-most a few neighbouring DOFs, so A is held in numpy as a fixed number of
-(column, value) entries per row, built from per-element arrays.  A is the only
+most a few neighbouring DOFs, and A is held in numpy as the list of its nonzero
+(row, column, value) entries, built from per-element arrays.  A is the only
 operator the assembly stores.  The value and the per-term breakdown take one
 product A x and sum the terms' row segments in list order.  The gradient
 A^T (w s |t|^{s-2} t / d), with t = A x - b (zero where t = 0), is one scatter
@@ -141,42 +141,25 @@ _FIELDS = [f.name for f in fields(TermBreakdown)]
 
 
 class _RowOp:
-    """A sparse matrix held as the same number of entries in every row.
-
-    ``cols`` and ``vals`` have shape (width, nrows): each row holds its nonzero
-    entries in increasing column order, padded with weight 0 on a column of its
-    own.  ``A @ x`` adds each row's products in column order, as a CSR product
-    does: numpy sums the first axis of a (width, nrows) array row after row
-    when nrows >= 2, which every operator here has.
-    """
+    """A sparse matrix held as its nonzero entries (rows, cols, vals), sorted by
+    row and then by column.  ``A @ x`` adds each row's products in column
+    order, and ``rmatvec`` each column's in row order, as CSR products with A
+    and with A^T do: ``np.bincount`` adds its weights in entry order."""
 
     def __init__(self, rows, cols, vals, shape):
         """From (row, col, value) triplets; zero values are dropped, and no two
         nonzero values may share a position."""
         keep = vals != 0.0
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        count = np.bincount(rows, minlength=shape[0])
-        first = np.cumsum(count) - count
-        pad = np.zeros(shape[0], dtype=np.intp)
-        pad[count > 0] = cols[first[count > 0]]
-        width = max(int(count.max(initial=0)), 1)
-        self.cols = np.tile(pad, (width, 1))
-        self.vals = np.zeros((width, shape[0]))
-        slot = np.arange(rows.size) - first[rows]
-        self.cols[slot, rows] = cols
-        self.vals[slot, rows] = vals
+        order = np.lexsort((cols[keep], rows[keep]))
+        self.rows, self.cols, self.vals = (a[keep][order] for a in (rows, cols, vals))
         self.shape = tuple(shape)
 
     def __matmul__(self, x):
-        return (self.vals * x.take(self.cols)).sum(axis=0)
+        return np.bincount(self.rows, self.vals * x.take(self.cols), minlength=self.shape[0])
 
     def rmatvec(self, y):
-        """A^T y, as one ``np.bincount`` over the entries read row by row: each
-        column adds its products in row order, as a CSR product with A^T does."""
-        return np.bincount(self.cols.T.ravel(), (self.vals * y).T.ravel(),
-                           minlength=self.shape[1])
+        """A^T y."""
+        return np.bincount(self.cols, self.vals * y.take(self.rows), minlength=self.shape[1])
 
 
 def _row_blocks(cols, vals):
@@ -371,18 +354,17 @@ class _Assembly:
         """(pos, row, val): the lower band of A^T diag(c) A, H[i + k, i] at
         [k, i] for the n columns of A, as the sum of ``val * c[row]`` over the
         entries at the flat position ``pos = k n + i``.  There is one entry
-        for every pair (a, b) of entries of one row of A with col a >= col b:
-        k = col a - col b, i = col b and val the product of the two.  They are
-        sorted by position, then by row, so each band entry adds its products
-        in row order."""
-        A = self.A
-        a, b = np.tril_indices(A.cols.shape[0])
-        val = A.vals[a] * A.vals[b]
-        real = val != 0.0  # padding has value 0
-        pos = ((A.cols[a] - A.cols[b]) * A.shape[1] + A.cols[b])[real]
-        row = np.broadcast_to(np.arange(A.shape[0]), real.shape)[real]
-        order = np.lexsort((row, pos))
-        return pos[order], row[order], val[real][order]
+        for every pair (a, b) of entries of one row of A with b not after a,
+        so col a >= col b: k = col a - col b, i = col b and val the product
+        of the two.  They are sorted by position, then by row, so each band
+        entry adds its products in row order."""
+        rows, cols, vals = self.A.rows, self.A.cols, self.A.vals
+        first = np.searchsorted(rows, rows)  # the first entry of each entry's row
+        a = np.repeat(np.arange(rows.size), np.arange(rows.size) - first + 1)
+        b = first[a] + np.arange(a.size) - np.searchsorted(a, a)
+        pos = (cols[a] - cols[b]) * self.A.shape[1] + cols[b]
+        order = np.lexsort((rows[a], pos))
+        return pos[order], rows[a][order], (vals[a] * vals[b])[order]
 
     @cached_property
     def band_blocks(self):

@@ -82,15 +82,12 @@ def _level_maxima(rng, mesh, levels, draws, ratio, degree):
 
 def suite_modular(rng):
     res = []
-    worst = 0.0
     bad = 0
     for _ in range(200):
         fld = _random_field(rng)
         s = _random_samples(rng)
         u = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=s.xs.size)
-        rep = check_modular_norm_relations(s, u, fld)
-        worst = max(worst, rep.slack)
-        bad += not rep.passed
+        bad += not check_modular_norm_relations(s, u, fld).passed
     res.append(PropertyResult("modular", "unit_ball_relations", bad == 0,
                               f"200 cases, failures={bad}"))
     worst_h = 0.0

@@ -182,6 +182,14 @@ def test_properties_exit_codes(tmp_path, monkeypatch):
     assert "\nlifting,bound_ratio_stable,0," in open(rep).read()
 
 
+@pytest.mark.parametrize("suite", ["pointwise", "log_holder", "bv_bound", "inverse_estimate",
+                                   "reconstruction", "broken_poincare", "coercivity",
+                                   "consistency"])
+def test_property_suite_passes(suite):
+    # the other two suites, modular and lifting, run in test_properties_exit_codes
+    assert main(["properties", "--seed", "0", "--suite", suite]) == 0
+
+
 def test_properties_seed_invariance():
     # verdicts hold for any seed
     assert main(["properties", "--suite", "modular", "--seed", "1"]) == 0

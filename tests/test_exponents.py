@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -102,6 +104,15 @@ def test_luxemburg_non_finite_values():
         assert np.isnan(luxemburg_norm(s, np.array([np.nan, np.inf]), fld))
         assert luxemburg_norm(s, np.array([np.inf, 1.0]), fld) == np.inf
         assert luxemburg_norm(s, np.array([-np.inf, 0.0]), fld) == np.inf
+
+
+def test_luxemburg_ignores_samples_of_zero_weight():
+    # 0 * nan, 0 * inf and 0 * 1e200**2 would make the modular nan
+    s = WeightedSampleSet(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for v in (np.nan, np.inf, 1e200):
+            assert luxemburg_norm(s, np.array([v, 1.0]), ExponentField.constant(2.0)) == 1.0
 
 
 def test_luxemburg_against_bruteforce_bisection():

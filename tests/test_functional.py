@@ -288,11 +288,12 @@ def dense(op):
     return np.column_stack([op @ e for e in np.eye(op.shape[1])])
 
 
-def test_gradient_and_hess_match_the_dense_term_operator():
-    # DG with every lifting degree, a Neumann face and fidelity, and DG k = 0,
-    # whose volume rows are the lifting alone; CG with both ends pinned; two
-    # elements, where each element has one interior face and rows are padded most
-    rng = np.random.default_rng(9)
+def operator_cases():
+    """(assembly, free DOFs): DG with every lifting degree, a Neumann face and
+    fidelity, and DG k = 0, whose volume rows are the lifting alone; CG with
+    both ends pinned; on five elements and on two, where every element has one
+    interior and one boundary face, and a DG volume row's column clipped at
+    the boundary face is one of its element's own."""
     cases = []
     for ne in (5, 2):
         for k in (0, 1, 2, 3):
@@ -302,7 +303,21 @@ def test_gradient_and_hess_match_the_dense_term_operator():
             if k >= 1:
                 cg = make_spec(uniform_mesh(-1, 1, ne), p=HAT, quadrature=("gauss", k + 1))
                 cases.append((continuous_assembly(cg, k), slice(1, -1)))
-    for asm, free in cases:
+    return cases
+
+
+def test_term_operator_has_one_nonzero_per_position():
+    # A @ x, A^T y and the band each add one product per (row, col) pair of
+    # entries: the entries are nonzero and strictly increasing by row, then col
+    for asm, _ in operator_cases():
+        A = asm.A
+        assert np.all(A.vals != 0.0)
+        assert np.all(np.diff(A.rows * A.shape[1] + A.cols) > 0)
+
+
+def test_gradient_and_hess_match_the_dense_term_operator():
+    rng = np.random.default_rng(9)
+    for asm, free in operator_cases():
         A = dense(asm.A)
         assert A.shape == asm.A.shape
         x = rng.normal(size=A.shape[1])
