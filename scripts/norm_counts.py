@@ -5,10 +5,11 @@ Runs ``setup`` and one ``run_pass(seed=0)`` of each workload of
 ``perfbench/workloads.py`` (paper-figures, dg-dense, dg-limited, const-p2),
 reading that module without editing it.  For every call of
 ``exponents.luxemburg_norm`` it prints the solve it belongs to, the number of
-samples, the modular sums it took (calls of ``exponents._modular_and_slope``)
-and the norm as ``float.hex()``; a line per workload gives its norms, sums
-and sums per norm, and a last line the totals.  The output is deterministic,
-so two runs diffed check a change to the root finding bitwise;
+samples, the modular sums it took (calls of ``exponents._modular_at``, the
+bracket and bisection trials, and of ``exponents._modular_and_slope``, the
+Newton polish) and the norm as ``float.hex()``; a line per workload gives its
+norms, sums and sums per norm, and a last line the totals.  The output is
+deterministic, so two runs diffed check a change to the root finding bitwise;
 ``tests/data/norm_counts.txt`` holds it, and a test compares it with
 ``lines()``.  Nothing is written to disk.
 
@@ -32,15 +33,17 @@ from pxdg import exponents
 def lines():
     """The header, one line per norm, a line per workload and the total line,
     as printed.  While they run, ``luxemburg_norm`` in every pxdg module (names
-    imported with ``from .exponents import`` too) and ``_modular_and_slope`` in
-    ``exponents`` count the norms and their sums."""
-    norm, modular_and_slope = exponents.luxemburg_norm, exponents._modular_and_slope
+    imported with ``from .exponents import`` too) and ``_modular_at`` and
+    ``_modular_and_slope`` in ``exponents`` count the norms and their sums."""
+    norm = exponents.luxemburg_norm
     # run_pass only sets the ``case`` attribute of the tracer it is given
     case, rows, sums = types.SimpleNamespace(case=""), [], [0]
 
-    def counted_sums(*args):
-        sums[0] += 1
-        return modular_and_slope(*args)
+    def counted(fn):
+        def counted_sums(*args):
+            sums[0] += 1
+            return fn(*args)
+        return counted_sums
 
     def counted_norm(samples, values, fld):
         sums[0] = 0
@@ -51,7 +54,9 @@ def lines():
     out = [f"{'workload/solve':<32} {'samples':>7} {'sums':>5} {'norm':>24}"]
     norms = total = 0
     with contextlib.ExitStack() as patches:
-        patches.enter_context(mock.patch.object(exponents, "_modular_and_slope", counted_sums))
+        for name in ("_modular_at", "_modular_and_slope"):
+            patches.enter_context(
+                mock.patch.object(exponents, name, counted(getattr(exponents, name))))
         for name, mod in list(sys.modules.items()):
             if name.split(".")[0] == "pxdg" and getattr(mod, "luxemburg_norm", None) is norm:
                 patches.enter_context(mock.patch.object(mod, "luxemburg_norm", counted_norm))

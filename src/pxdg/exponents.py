@@ -157,15 +157,23 @@ class WeightedSampleSet:
 
 
 def modular(samples, values, fld):
-    """The modular sum_i w_i |u_i|^{p(x_i)} of samples u_i = u(x_i)."""
-    values = np.asarray(values, dtype=float)
-    p = fld(samples.xs)
-    return float(np.sum(samples.weights * np.abs(values) ** p))
+    """The modular sum_i w_i |u_i|^{p(x_i)} of samples u_i = u(x_i).  Samples of
+    weight zero do not count, whatever their value."""
+    keep = samples.weights > 0.0
+    values = np.asarray(values, dtype=float)[keep]
+    p = fld(samples.xs[keep])
+    return float(np.sum(samples.weights[keep] * np.abs(values) ** p))
+
+
+def _modular_at(weights, values, k, p):
+    """rho(u/k) at the sampled exponents p, as the first value of
+    ``_modular_and_slope``: the bracket and bisection trials."""
+    return float(np.sum(weights * (np.abs(values) / k) ** p))
 
 
 def _modular_and_slope(weights, values, k, p):
-    """rho(u/k) and d rho(u/k) / dk at the sampled exponents p: the bracket and
-    the bisection read rho, the Newton polish both."""
+    """rho(u/k) and d rho(u/k) / dk at the sampled exponents p: the Newton
+    polish."""
     t = np.abs(values) / k
     tp = t**p
     rho = float(np.sum(weights * tp))
@@ -178,11 +186,14 @@ def luxemburg_norm(samples, values, fld):
     and a Newton polish to rounding.
 
     k -> modular(u/k) is continuous, convex and strictly decreasing while
-    positive, so the root of modular(u/k) = 1 is simple.  A Newton step from a
-    point a relative distance d from it lands about (p2 + 1)/2 * d^2 away, so
-    from the bisection's 1e-6 the first of the three steps reaches 1e-12 and
-    the second rounding.  Samples of weight zero do not count.  Returns 0 for
-    the zero function, nan if a sample is nan and inf if one is infinite.
+    positive, so the root of modular(u/k) = 1 is simple.  The bracket and
+    bisection trials form modular(u/k) alone; only the polish also forms its
+    slope.  A Newton step from a point a relative distance d from the root
+    lands about (p2 + 1)/2 * d^2 away, so from the bisection's 1e-6 the first
+    of the three steps reaches 1e-12 and the second rounding.  Where
+    modular(u) under- or overflows, the norm is max|u| times the norm of
+    u / max|u| (homogeneity).  Samples of weight zero do not count.  Returns 0
+    for the zero function, nan if a sample is nan and inf if one is infinite.
     """
     keep = samples.weights > 0.0
     w, values = samples.weights[keep], np.asarray(values, dtype=float)[keep]
@@ -190,9 +201,14 @@ def luxemburg_norm(samples, values, fld):
     if top == 0.0 or not math.isfinite(top):
         return float(top)
     p = fld(samples.xs[keep])
-    rho = float(np.sum(w * np.abs(values) ** p))
-    if rho == 0.0:
-        return 0.0
+    with np.errstate(over="ignore"):
+        rho = float(np.sum(w * np.abs(values) ** p))
+    scale = 1.0
+    if rho == 0.0 or rho == math.inf:
+        # each term of u / max|u| is at most its weight and the largest equals
+        # it, so this rho is finite and positive
+        scale, values = float(top), values / top
+        rho = float(np.sum(w * np.abs(values) ** p))
     p1, p2 = fld.p1, fld.p2
     # modular/norm comparison bounds give the initial bracket
     if rho >= 1.0:
@@ -202,11 +218,11 @@ def luxemburg_norm(samples, values, fld):
     lo, hi = min(lo, 1.0), max(hi, 1.0)
     # expand until modular(u/lo) >= 1 >= modular(u/hi)
     for _ in range(200):
-        if _modular_and_slope(w, values, lo, p)[0] >= 1.0:
+        if _modular_at(w, values, lo, p) >= 1.0:
             break
         lo *= 0.5
     for _ in range(200):
-        if _modular_and_slope(w, values, hi, p)[0] <= 1.0:
+        if _modular_at(w, values, hi, p) <= 1.0:
             break
         hi *= 2.0
     # no cap on the halvings: a small function's bracket [rho^(1/p), 1] spans
@@ -216,7 +232,7 @@ def luxemburg_norm(samples, values, fld):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if _modular_and_slope(w, values, mid, p)[0] > 1.0:
+        if _modular_at(w, values, mid, p) > 1.0:
             lo = mid
         else:
             hi = mid
@@ -228,7 +244,7 @@ def luxemburg_norm(samples, values, fld):
         if dr == 0.0:
             break
         k = min(max(k - (r - 1.0) / dr, lo), hi)
-    return float(k)
+    return float(scale * k)
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,10 @@ def test_solver_corpus_is_unchanged():
 
 
 def test_luxemburg_norms_of_the_workloads_are_unchanged():
-    norm, modular_and_slope = exponents.luxemburg_norm, exponents._modular_and_slope
+    norm, modular_at = exponents.luxemburg_norm, exponents._modular_at
+    modular_and_slope = exponents._modular_and_slope
     got = "".join(line + "\n" for line in norm_counts.lines())
     assert got == expected("norm_counts.txt")
     assert exponents.luxemburg_norm is norm
+    assert exponents._modular_at is modular_at
     assert exponents._modular_and_slope is modular_and_slope

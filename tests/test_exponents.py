@@ -107,12 +107,17 @@ def test_luxemburg_non_finite_values():
 
 
 def test_luxemburg_ignores_samples_of_zero_weight():
-    # 0 * nan, 0 * inf and 0 * 1e200**2 would make the modular nan
+    # 0 * nan, 0 * inf and 0 * 1e200**2 would make the modular nan; the
+    # modular drops these samples as the norm does
     s = WeightedSampleSet(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    fld = ExponentField.constant(2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for v in (np.nan, np.inf, 1e200):
-            assert luxemburg_norm(s, np.array([v, 1.0]), ExponentField.constant(2.0)) == 1.0
+            u = np.array([v, 1.0])
+            assert luxemburg_norm(s, u, fld) == 1.0
+            assert modular(s, u, fld) == 1.0
+            assert check_modular_norm_relations(s, u, fld).passed
 
 
 def test_luxemburg_against_bruteforce_bisection():
@@ -136,15 +141,49 @@ def test_luxemburg_against_bruteforce_bisection():
 
 def test_luxemburg_norm_takes_few_modular_sums(monkeypatch):
     # a norm of 5e-3 bisects down from the bracket end 1; bisecting only to
-    # 1e-6 and leaving the rest to Newton took this one from 53 sums to 33
+    # 1e-6 and leaving the rest to Newton took this one from 53 sums to 33.
+    # Only the three polish steps form the slope
     calls = []
-    modular_and_slope = exponents._modular_and_slope
-    monkeypatch.setattr(exponents, "_modular_and_slope",
-                        lambda *args: calls.append(1) or modular_and_slope(*args))
+    for name in ("_modular_at", "_modular_and_slope"):
+        fn = getattr(exponents, name)
+        monkeypatch.setattr(exponents, name,
+                            lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
     rng = np.random.default_rng(0)
     s = WeightedSampleSet(np.sort(rng.uniform(-1, 1, 50)), rng.uniform(0, 0.04, 50))
     luxemburg_norm(s, rng.normal(scale=5e-3, size=50), HAT)
     assert len(calls) <= 40
+    assert calls.count("_modular_and_slope") <= 3
+
+
+def test_trial_modular_is_the_modular_bit_for_bit():
+    # the trials decide the bracket and the bisection's branches, so they must
+    # be the modular itself and the rho of the polish
+    rng = np.random.default_rng(0)
+    fields = (HAT, ExponentField.piecewise_linear([-1, 0.2, 1], [1.2, 3.5, 2.0]),
+              ExponentField.constant(2.5))
+    for fld in fields:
+        for _ in range(5):
+            s = WeightedSampleSet(np.sort(rng.uniform(-1, 1, 40)), rng.uniform(0, 0.05, 40))
+            u = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=40)
+            p = fld(s.xs)
+            for k in (1e-3, 0.37, 1.0, 2.5, 1e4):
+                trial = exponents._modular_at(s.weights, u, k, p)
+                assert trial == modular(s, u / k, fld)
+                assert trial == exponents._modular_and_slope(s.weights, u, k, p)[0]
+
+
+def test_luxemburg_rescales_a_modular_that_under_or_overflows():
+    # rho(u) at k = 1 underflows to 0 or overflows to inf: the norm is then
+    # max|u| times the norm of u / max|u|
+    s = WeightedSampleSet(np.array([0.0, 1.0]), np.ones(2))
+    pwl = ExponentField.piecewise_linear([0, 1], [1.5, 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tiny = luxemburg_norm(s, np.full(2, 1e-170), ExponentField.constant(2.0))
+        assert abs(tiny - np.sqrt(2.0) * 1e-170) <= 4 * np.spacing(tiny)
+        huge = luxemburg_norm(s, np.full(2, 1e150), pwl)
+    assert np.isfinite(huge)
+    assert huge == 1e150 * luxemburg_norm(s, np.ones(2), pwl)
 
 
 def test_constant_p_matches_classical_lp():
