@@ -7,11 +7,11 @@ reading that module without editing it.  For every call of
 ``exponents.luxemburg_norm`` it prints the solve it belongs to, the number of
 samples, the modular sums it took (calls of ``exponents._modular_at``, the
 bracket and bisection trials, and of ``exponents._modular_and_slope``, the
-Newton polish) and the norm as ``float.hex()``; a line per workload gives its
-norms, sums and sums per norm, and a last line the totals.  The output is
-deterministic, so two runs diffed check a change to the root finding bitwise;
-``tests/data/norm_counts.txt`` holds it, and a test compares it with
-``lines()``.  Nothing is written to disk.
+Newton polish, both on the magnitudes |u| the norm takes once) and the norm
+as ``float.hex()``; a line per workload gives its norms, sums and sums per
+norm, and a last line the totals.  The output is deterministic, so two runs
+diffed check a change to the root finding bitwise; ``tests/data/norm_counts.txt``
+holds it, and a test compares it with ``lines()``.  Nothing is written to disk.
 
     python3 scripts/norm_counts.py
     python3 scripts/norm_counts.py > norms.txt

@@ -48,21 +48,34 @@ def _basis(degree):
     return t, w, D
 
 
-def _eval_matrix(degree, ref_points):
-    """Matrix B with B[q, j] = phi_j(ref_points[q]) for the Lagrange basis.
+def _basis_columns(degree, x):
+    """The degree+1 Lagrange basis functions at the 1D reference points x, as a
+    list of columns: phi_j(x) for j = 0..degree.
 
-    Rows are the barycentric formula; a point on a node gets that node's unit row.
+    The barycentric formula, its denominator summed left to right; a point
+    within 1e-14 of a node gets that node's unit row, the first such node's
+    if there are two.
     """
     t, w, _ = _basis(degree)
-    x = np.atleast_1d(np.asarray(ref_points, dtype=float))
-    diff = x[:, None] - t[None, :]
-    hit = np.abs(diff) < 1e-14
+    diffs = [x - tj for tj in t]
     with np.errstate(all="ignore"):
-        terms = w / diff
-        B = terms / np.sum(terms, axis=1, keepdims=True)
-    on_node = hit.any(axis=1)
-    B[on_node] = np.eye(t.size)[hit[on_node].argmax(axis=1)]
-    return B
+        terms = [wj / d for wj, d in zip(w, diffs)]
+        den = functools.reduce(np.add, terms)
+        cols = [term / den for term in terms]
+    # from the last node down, so that the first node hit writes last
+    for j in reversed(range(t.size)):
+        hit = np.abs(diffs[j]) < 1e-14
+        if hit.any():
+            for i, col in enumerate(cols):
+                col[hit] = float(i == j)
+    return cols
+
+
+def _eval_matrix(degree, ref_points):
+    """Matrix B with B[q, j] = phi_j(ref_points[q]) for the Lagrange basis:
+    the columns of ``_basis_columns`` side by side."""
+    x = np.atleast_1d(np.asarray(ref_points, dtype=float))
+    return np.stack(_basis_columns(degree, x), axis=1)
 
 
 @dataclass(frozen=True)
@@ -126,11 +139,13 @@ def evaluate(u, x, side="left"):
     side, "left" or "right", picks the element of a point on a node.
     """
     x = np.asarray(x, dtype=float)
-    e = np.asarray(u.mesh.element_of(x, side))
+    e = np.asarray(u.mesh.element_of(x, side)).ravel()
     nodes = u.mesh.nodes
-    xi = 2.0 * (x - nodes[e]) / (nodes[e + 1] - nodes[e]) - 1.0
-    B = _eval_matrix(u.degree, xi.ravel())
-    vals = np.sum(B * u.coeffs[e.ravel()], axis=1).reshape(x.shape)
+    xi = 2.0 * (x.ravel() - nodes[e]) / (nodes[e + 1] - nodes[e]) - 1.0
+    coeffs = np.take(u.coeffs, e, axis=0)
+    # the sum over j of phi_j * coeffs[e, j], term by term from the left
+    terms = (col * coeffs[:, j] for j, col in enumerate(_basis_columns(u.degree, xi)))
+    vals = functools.reduce(np.add, terms).reshape(x.shape)
     return float(vals) if vals.ndim == 0 else vals
 
 

@@ -156,6 +156,10 @@ class WeightedSampleSet:
         return float(np.sum(self.weights))
 
 
+# below the smallest normal float a modular has lost precision to underflow
+_TINY = np.finfo(float).tiny
+
+
 def modular(samples, values, fld):
     """The modular sum_i w_i |u_i|^{p(x_i)} of samples u_i = u(x_i).  Samples of
     weight zero do not count, whatever their value."""
@@ -165,19 +169,20 @@ def modular(samples, values, fld):
     return float(np.sum(samples.weights[keep] * np.abs(values) ** p))
 
 
-def _modular_at(weights, values, k, p):
-    """rho(u/k) at the sampled exponents p, as the first value of
-    ``_modular_and_slope``: the bracket and bisection trials."""
-    return float(np.sum(weights * (np.abs(values) / k) ** p))
+def _modular_at(weights, mags, k, p):
+    """rho(u/k) from the magnitudes |u| of the samples, at the sampled
+    exponents p, as the first value of ``_modular_and_slope``: the bracket and
+    bisection trials."""
+    return float((weights * (mags / k) ** p).sum())
 
 
-def _modular_and_slope(weights, values, k, p):
-    """rho(u/k) and d rho(u/k) / dk at the sampled exponents p: the Newton
-    polish."""
-    t = np.abs(values) / k
+def _modular_and_slope(weights, mags, k, p):
+    """rho(u/k) and d rho(u/k) / dk from the magnitudes |u| of the samples, at
+    the sampled exponents p: the Newton polish."""
+    t = mags / k
     tp = t**p
-    rho = float(np.sum(weights * tp))
-    drho = -float(np.sum(weights * p * tp)) / k
+    rho = float((weights * tp).sum())
+    drho = -float((weights * p * tp).sum()) / k
     return rho, drho
 
 
@@ -186,29 +191,30 @@ def luxemburg_norm(samples, values, fld):
     and a Newton polish to rounding.
 
     k -> modular(u/k) is continuous, convex and strictly decreasing while
-    positive, so the root of modular(u/k) = 1 is simple.  The bracket and
-    bisection trials form modular(u/k) alone; only the polish also forms its
-    slope.  A Newton step from a point a relative distance d from the root
-    lands about (p2 + 1)/2 * d^2 away, so from the bisection's 1e-6 the first
-    of the three steps reaches 1e-12 and the second rounding.  Where
-    modular(u) under- or overflows, the norm is max|u| times the norm of
-    u / max|u| (homogeneity).  Samples of weight zero do not count.  Returns 0
-    for the zero function, nan if a sample is nan and inf if one is infinite.
+    positive, so the root of modular(u/k) = 1 is simple.  The magnitudes |u|
+    are taken once; the bracket and bisection trials form modular(u/k) alone
+    from them, and only the polish also forms its slope.  A Newton step from a
+    point a relative distance d from the root lands about (p2 + 1)/2 * d^2
+    away, so from the bisection's 1e-6 the first of the three steps reaches
+    1e-12 and the second rounding.  Where modular(u) is subnormal, 0 or
+    infinite, the norm is max|u| times the norm of u / max|u| (homogeneity).
+    Samples of weight zero do not count.  Returns 0 for the zero function, nan
+    if a sample is nan and inf if one is infinite.
     """
     keep = samples.weights > 0.0
-    w, values = samples.weights[keep], np.asarray(values, dtype=float)[keep]
-    top = np.max(np.abs(values), initial=0.0)
+    w, mags = samples.weights[keep], np.abs(np.asarray(values, dtype=float)[keep])
+    top = np.max(mags, initial=0.0)
     if top == 0.0 or not math.isfinite(top):
         return float(top)
     p = fld(samples.xs[keep])
     with np.errstate(over="ignore"):
-        rho = float(np.sum(w * np.abs(values) ** p))
+        rho = float((w * mags**p).sum())
     scale = 1.0
-    if rho == 0.0 or rho == math.inf:
+    if not _TINY <= rho < math.inf:
         # each term of u / max|u| is at most its weight and the largest equals
         # it, so this rho is finite and positive
-        scale, values = float(top), values / top
-        rho = float(np.sum(w * np.abs(values) ** p))
+        scale, mags = float(top), mags / top
+        rho = float((w * mags**p).sum())
     p1, p2 = fld.p1, fld.p2
     # modular/norm comparison bounds give the initial bracket
     if rho >= 1.0:
@@ -218,11 +224,11 @@ def luxemburg_norm(samples, values, fld):
     lo, hi = min(lo, 1.0), max(hi, 1.0)
     # expand until modular(u/lo) >= 1 >= modular(u/hi)
     for _ in range(200):
-        if _modular_at(w, values, lo, p) >= 1.0:
+        if _modular_at(w, mags, lo, p) >= 1.0:
             break
         lo *= 0.5
     for _ in range(200):
-        if _modular_at(w, values, hi, p) <= 1.0:
+        if _modular_at(w, mags, hi, p) <= 1.0:
             break
         hi *= 2.0
     # no cap on the halvings: a small function's bracket [rho^(1/p), 1] spans
@@ -232,7 +238,7 @@ def luxemburg_norm(samples, values, fld):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if _modular_at(w, values, mid, p) > 1.0:
+        if _modular_at(w, mags, mid, p) > 1.0:
             lo = mid
         else:
             hi = mid
@@ -240,7 +246,7 @@ def luxemburg_norm(samples, values, fld):
     for _ in range(3):
         # a step past the bracket is clamped to it: where an end is the root
         # (a constant exponent), the step lands an ulp beyond it
-        r, dr = _modular_and_slope(w, values, k, p)
+        r, dr = _modular_and_slope(w, mags, k, p)
         if dr == 0.0:
             break
         k = min(max(k - (r - 1.0) / dr, lo), hi)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from pxdg.broken import (
     BrokenFunction,
+    _eval_matrix,
     broken_seminorm,
     elementwise_gradient,
     embed_refine,
@@ -15,7 +18,7 @@ from pxdg.broken import (
     total_variation,
 )
 from pxdg.exponents import ExponentField
-from pxdg.meshes import uniform_mesh
+from pxdg.meshes import Mesh1D, uniform_mesh
 
 P2 = ExponentField.constant(2.0)
 
@@ -46,6 +49,31 @@ def test_evaluate_examples():
             assert vals.shape == xs.shape
             assert np.array_equal(vals, [evaluate(f, x, side) for x in xs])
         assert np.array_equal(f(xs.reshape(2, 3)), evaluate(f, xs).reshape(2, 3))
+
+
+def test_evaluate_is_the_matrix_path_bit_for_bit():
+    # evaluate sums the basis columns times the coefficients from the left; the
+    # product of the barycentric matrix with the coefficients, summed over a
+    # row, is the same sum.  Mesh nodes put points on the element ends, and a
+    # node hit must not warn
+    rng = np.random.default_rng(0)
+    for nodes in (np.linspace(-1.0, 2.0, 13), 2.0 ** -np.arange(12.0)[::-1] - 2.0**-11):
+        mesh = Mesh1D(nodes)
+        xs = np.concatenate([rng.uniform(nodes[0], nodes[-1], 200), nodes])
+        for k in range(4):
+            u = BrokenFunction(mesh, k, rng.normal(size=(mesh.n_elements, k + 1)))
+            for side in ("left", "right"):
+                e = mesh.element_of(xs, side)
+                xi = 2.0 * (xs - nodes[e]) / (nodes[e + 1] - nodes[e]) - 1.0
+                want = np.sum(_eval_matrix(k, xi) * u.coeffs[e], axis=1)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    assert np.array_equal(evaluate(u, xs, side), want), (k, side)
+            got = u(xs[3])
+            assert type(got) is float and got == evaluate(u, xs[:4])[3]
+            assert np.array_equal(u(xs[:6].reshape(2, 3)), evaluate(u, xs[:6]).reshape(2, 3))
+            empty = u(np.empty(0))
+            assert empty.shape == (0,) and empty.dtype == float
 
 
 def test_gradient_examples():

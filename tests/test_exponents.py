@@ -157,7 +157,8 @@ def test_luxemburg_norm_takes_few_modular_sums(monkeypatch):
 
 def test_trial_modular_is_the_modular_bit_for_bit():
     # the trials decide the bracket and the bisection's branches, so they must
-    # be the modular itself and the rho of the polish
+    # be the modular itself and the rho of the polish.  Both helpers take the
+    # magnitudes |u|, which the norm forms once
     rng = np.random.default_rng(0)
     fields = (HAT, ExponentField.piecewise_linear([-1, 0.2, 1], [1.2, 3.5, 2.0]),
               ExponentField.constant(2.5))
@@ -165,11 +166,11 @@ def test_trial_modular_is_the_modular_bit_for_bit():
         for _ in range(5):
             s = WeightedSampleSet(np.sort(rng.uniform(-1, 1, 40)), rng.uniform(0, 0.05, 40))
             u = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=40)
-            p = fld(s.xs)
+            p, mags = fld(s.xs), np.abs(u)
             for k in (1e-3, 0.37, 1.0, 2.5, 1e4):
-                trial = exponents._modular_at(s.weights, u, k, p)
+                trial = exponents._modular_at(s.weights, mags, k, p)
                 assert trial == modular(s, u / k, fld)
-                assert trial == exponents._modular_and_slope(s.weights, u, k, p)[0]
+                assert trial == exponents._modular_and_slope(s.weights, mags, k, p)[0]
 
 
 def test_luxemburg_rescales_a_modular_that_under_or_overflows():
@@ -184,6 +185,15 @@ def test_luxemburg_rescales_a_modular_that_under_or_overflows():
         huge = luxemburg_norm(s, np.full(2, 1e150), pwl)
     assert np.isfinite(huge)
     assert huge == 1e150 * luxemburg_norm(s, np.ones(2), pwl)
+
+
+def test_luxemburg_rescales_a_subnormal_modular():
+    # rho(u) = 2e-310 is subnormal but not 0: bisected and polished unscaled,
+    # the norm came out 2.0000008289046e-310.  Rescaled by max|u| it is exact
+    s = WeightedSampleSet(np.array([0.0, 1.0]), np.ones(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert luxemburg_norm(s, np.full(2, 1e-310), ExponentField.constant(1.0)) == 2e-310
 
 
 def test_constant_p_matches_classical_lp():
