@@ -7,11 +7,13 @@ reading that module without editing it.  For every call of
 ``exponents.luxemburg_norm`` it prints the solve it belongs to, the number of
 samples, the modular sums it took (calls of ``exponents._modular_at``, the
 bracket and bisection trials, and of ``exponents._modular_and_slope``, the
-Newton polish, both on the magnitudes |u| the norm takes once) and the norm
-as ``float.hex()``; a line per workload gives its norms, sums and sums per
-norm, and a last line the totals.  The output is deterministic, so two runs
-diffed check a change to the root finding bitwise; ``tests/data/norm_counts.txt``
-holds it, and a test compares it with ``lines()``.  Nothing is written to disk.
+Newton polish, both on the magnitudes |u| the norm takes once), how many of
+them were Newton steps (the ``newton`` column, which tells the polish from
+the bisection's binade search) and the norm as ``float.hex()``; a line per
+workload gives its norms, sums, Newton steps and sums per norm, and a last
+line the totals.  The output is deterministic, so two runs diffed check a
+change to the root finding bitwise; ``tests/data/norm_counts.txt`` holds it,
+and a test compares it with ``lines()``.  Nothing is written to disk.
 
     python3 scripts/norm_counts.py
     python3 scripts/norm_counts.py > norms.txt
@@ -37,26 +39,28 @@ def lines():
     ``_modular_and_slope`` in ``exponents`` count the norms and their sums."""
     norm = exponents.luxemburg_norm
     # run_pass only sets the ``case`` attribute of the tracer it is given
-    case, rows, sums = types.SimpleNamespace(case=""), [], [0]
+    case, rows = types.SimpleNamespace(case=""), []
+    sums = {"_modular_at": 0, "_modular_and_slope": 0}
 
-    def counted(fn):
+    def counted(name, fn):
         def counted_sums(*args):
-            sums[0] += 1
+            sums[name] += 1
             return fn(*args)
         return counted_sums
 
     def counted_norm(samples, values, fld):
-        sums[0] = 0
+        sums.update(dict.fromkeys(sums, 0))
         out = norm(samples, values, fld)
-        rows.append((case.case, samples.xs.size, sums[0], out))
+        newton = sums["_modular_and_slope"]
+        rows.append((case.case, samples.xs.size, sums["_modular_at"] + newton, newton, out))
         return out
 
-    out = [f"{'workload/solve':<32} {'samples':>7} {'sums':>5} {'norm':>24}"]
-    norms = total = 0
+    out = [f"{'workload/solve':<32} {'samples':>7} {'sums':>5} {'newton':>6} {'norm':>24}"]
+    norms = total = total_newton = 0
     with contextlib.ExitStack() as patches:
-        for name in ("_modular_at", "_modular_and_slope"):
+        for name in sums:
             patches.enter_context(
-                mock.patch.object(exponents, name, counted(getattr(exponents, name))))
+                mock.patch.object(exponents, name, counted(name, getattr(exponents, name))))
         for name, mod in list(sys.modules.items()):
             if name.split(".")[0] == "pxdg" and getattr(mod, "luxemburg_norm", None) is norm:
                 patches.enter_context(mock.patch.object(mod, "luxemburg_norm", counted_norm))
@@ -65,12 +69,15 @@ def lines():
             case.case = "setup"
             wl = workloads.setup(name)
             wl.run_pass(0, tracer=case)
-            for label, samples, n_sums, val in rows:
-                out.append(f"{name + '/' + label:<32} {samples:>7} {n_sums:>5} {val.hex():>24}")
-            n, s = len(rows), sum(r[2] for r in rows)
-            out.append(f"{name}: {n} norms, {s} sums, {s / max(n, 1):.1f} sums per norm")
-            norms, total = norms + n, total + s
-    out.append(f"total: {norms} norms, {total} sums, {total / max(norms, 1):.1f} sums per norm")
+            for label, samples, n_sums, newton, val in rows:
+                out.append(f"{name + '/' + label:<32} {samples:>7} {n_sums:>5} {newton:>6} "
+                           f"{val.hex():>24}")
+            n, s, nw = len(rows), sum(r[2] for r in rows), sum(r[3] for r in rows)
+            out.append(f"{name}: {n} norms, {s} sums, {nw} newton, "
+                       f"{s / max(n, 1):.1f} sums per norm")
+            norms, total, total_newton = norms + n, total + s, total_newton + nw
+    out.append(f"total: {norms} norms, {total} sums, {total_newton} newton, "
+               f"{total / max(norms, 1):.1f} sums per norm")
     return out
 
 

@@ -224,7 +224,7 @@ def cmd_solve(args):
     return EXIT_OK if rep.converged else EXIT_NO_CONVERGENCE
 
 
-def _convergence_row(kind, payload, args, method, n, reference):
+def _convergence_row(kind, payload, args, method, n, reference_grid):
     mesh, spec, rep = _run_one(kind, payload, args, method, n)
     u = rep.solution
     if kind == "paper1d":
@@ -233,7 +233,7 @@ def _convergence_row(kind, payload, args, method, n, reference):
         p = payload.p
     else:
         p = payload["p"]
-        lux_err, max_nodal = _reference_errors(u, reference, p)
+        lux_err, max_nodal = _grid_errors(u, reference_grid, p)
     semi = broken_seminorm(u, p)
     R = lift(u, spec.lifting)
     vol, gx = volume_samples(mesh, 6)
@@ -243,12 +243,25 @@ def _convergence_row(kind, payload, args, method, n, reference):
             bd.dirichlet_penalty, rnorm, bd.total, rep.iterations, rep.wall_time), rep.converged
 
 
-def _reference_errors(u, reference, p):
-    gx = np.linspace(u.mesh.x_left, u.mesh.x_right, 2049)[1:-1]
-    diff = u(gx) - reference(gx)
+def _reference_grid(mesh, reference):
+    """The 2047 interior points of 2048 equal cells of the mesh's domain and
+    the reference solution there, which every row of a run compares with."""
+    gx = np.linspace(mesh.x_left, mesh.x_right, 2049)[1:-1]
+    return gx, reference(gx)
+
+
+def _grid_errors(u, reference_grid, p):
+    """The Luxemburg and max errors of u against a ``_reference_grid``."""
+    gx, ref = reference_grid
+    diff = u(gx) - ref
     w = np.full(gx.size, (u.mesh.x_right - u.mesh.x_left) / gx.size)
     lux = luxemburg_norm(WeightedSampleSet(gx, w), diff, p)
     return lux, float(np.max(np.abs(diff)))
+
+
+def _reference_errors(u, reference, p):
+    """``_grid_errors`` on a grid of its own; ``perfbench/workloads.py`` calls it."""
+    return _grid_errors(u, _reference_grid(u.mesh, reference), p)
 
 
 def cmd_convergence(args):
@@ -256,15 +269,15 @@ def cmd_convergence(args):
     ns = [int(t) for t in args.ns.split(",") if t]
     if not ns:
         raise ValueError(f"--ns {args.ns!r} names no element count")
-    reference = None
+    reference_grid = None
     if kind == "custom":
-        _, _, ref_rep = _run_one(kind, payload, args, args.method, 2 * max(ns))
+        ref_mesh, _, ref_rep = _run_one(kind, payload, args, args.method, 2 * max(ns))
         if not ref_rep.converged:
             print(f"reference solve at n={2 * max(ns)} did not converge "
                   f"(stop={ref_rep.stop_reason})", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
-        reference = ref_rep.solution
-    rows, converged = zip(*(_convergence_row(kind, payload, args, args.method, n, reference)
+        reference_grid = _reference_grid(ref_mesh, ref_rep.solution)
+    rows, converged = zip(*(_convergence_row(kind, payload, args, args.method, n, reference_grid)
                             for n in ns))
     csv = convergence_csv(rows)
     write_atomic(os.path.join(args.out, f"convergence_{args.method}.csv"), csv)

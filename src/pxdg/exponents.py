@@ -187,7 +187,7 @@ def _modular_and_slope(weights, mags, k, p):
 
 
 def luxemburg_norm(samples, values, fld):
-    """inf{k > 0 : modular(u/k) <= 1}, by bracketing, bisection to 1e-6 relative
+    """inf{k > 0 : modular(u/k) <= 1}, by bracketing, bisection to 1e-2 relative
     and a Newton polish to rounding.
 
     k -> modular(u/k) is continuous, convex and strictly decreasing while
@@ -195,11 +195,13 @@ def luxemburg_norm(samples, values, fld):
     are taken once; the bracket and bisection trials form modular(u/k) alone
     from them, and only the polish also forms its slope.  A Newton step from a
     point a relative distance d from the root lands about (p2 + 1)/2 * d^2
-    away, so from the bisection's 1e-6 the first of the three steps reaches
-    1e-12 and the second rounding.  Where modular(u) is subnormal, 0 or
-    infinite, the norm is max|u| times the norm of u / max|u| (homogeneity).
-    Samples of weight zero do not count.  Returns 0 for the zero function, nan
-    if a sample is nan and inf if one is infinite.
+    away, so from the bisection's 1e-2 three or four steps reach rounding.
+    The polish stops at a step that moves k by at most 4e-16 k, or at a zero
+    slope, and after 8 steps at most; each step is clamped to the bracket.
+    Where modular(u) is subnormal, 0 or infinite, the norm is max|u| times
+    the norm of u / max|u| (homogeneity).  Samples of weight zero do not
+    count.  Returns 0 for the zero function, nan if a sample is nan and inf if
+    one is infinite.
     """
     keep = samples.weights > 0.0
     w, mags = samples.weights[keep], np.abs(np.asarray(values, dtype=float)[keep])
@@ -234,7 +236,7 @@ def luxemburg_norm(samples, values, fld):
     # no cap on the halvings: a small function's bracket [rho^(1/p), 1] spans
     # hundreds of binades.  A subnormal bracket can be too coarse to get this
     # narrow; it ends when its midpoint rounds to an end
-    while hi - lo > 1e-6 * hi:
+    while hi - lo > 1e-2 * hi:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
@@ -243,13 +245,15 @@ def luxemburg_norm(samples, values, fld):
         else:
             hi = mid
     k = 0.5 * (lo + hi)
-    for _ in range(3):
+    for _ in range(8):
         # a step past the bracket is clamped to it: where an end is the root
         # (a constant exponent), the step lands an ulp beyond it
         r, dr = _modular_and_slope(w, mags, k, p)
         if dr == 0.0:
             break
-        k = min(max(k - (r - 1.0) / dr, lo), hi)
+        k, prev = min(max(k - (r - 1.0) / dr, lo), hi), k
+        if abs(k - prev) <= 4e-16 * k:
+            break
     return float(scale * k)
 
 

@@ -6,11 +6,12 @@ import subprocess
 import sys
 import xml.dom.minidom
 
+import numpy as np
 import pytest
 
 import pxdg
 from pxdg import cli
-from pxdg.broken import dof_points
+from pxdg.broken import BrokenFunction, dof_points
 from pxdg.cli import main
 from pxdg.exponents import ExponentField
 from pxdg.meshes import Mesh1D, uniform_mesh
@@ -371,6 +372,22 @@ def test_convergence_custom_problem_order(tmp_path, const2_spec):
             break
     else:
         raise AssertionError("missing order footer")
+
+
+def test_convergence_samples_the_reference_grid_once(tmp_path, const2_spec, monkeypatch):
+    # the reference is evaluated on its 2047-point grid once per run and each
+    # row's solution once: 4 grid evaluations for 3 rows, where it was 6
+    grid_sizes = []
+    call = BrokenFunction.__call__
+
+    def counted(u, x, side="left"):
+        grid_sizes.append(np.size(x))
+        return call(u, x, side)
+
+    monkeypatch.setattr(BrokenFunction, "__call__", counted)
+    assert main(["convergence", "--ns", "10,20,40", "--method", "dg",
+                 "--problem", f"custom:{const2_spec}", "--out", str(tmp_path / "conv")]) == 0
+    assert grid_sizes.count(2047) == 4
 
 
 def test_flag_wins_over_config_only_spelled_out(tmp_path, capsys):
