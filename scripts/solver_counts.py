@@ -2,13 +2,14 @@
 """Step and evaluation counts of the solver on a fixed corpus of solves.
 
 For each solve it prints the steps, the energy evaluations, the banded solves
-(``solves``: calls of ``optimize._band_solve``, one per step plus the one of a
+(``solves``: calls of ``band.KacanovBand.solve``, one per step plus the one of a
 run that a duality gap certifies), those with Newton weights, the line-search
 failures, the stop reason, the duality
 gap over the energy, ``gap/|E|``, to read against the solve's tol (taken at
 the last step at the Kacanov eps floor; ``-`` where no step reached it), the
 final energy as ``float.hex()``, the wall time of the minimization and the
-milliseconds spent in ``optimize._band_solve`` (``band_ms``); a last row sums
+milliseconds spent in ``band.KacanovBand.solve``, which forms the band and
+solves it (``band_ms``); a last row sums
 the steps, evaluations, solves and ``band_ms``.  The corpus is every solve of
 the benchmark's workloads (``perfbench/workloads.py``: paper-figures, dg-dense,
 dg-limited, const-p2), DG on the paper problem at 2560 and 5120 elements, the
@@ -23,6 +24,7 @@ holds them, and a test compares them with ``lines()``.  Nothing is written to di
     python3 scripts/solver_counts.py | cut -c1-117 > counts.txt
 """
 
+import contextlib
 import os
 import sys
 import time
@@ -34,7 +36,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 import numpy as np
 
 from perfbench.workloads import BUILDERS
-from pxdg import optimize
+from pxdg import band
 from pxdg.exponents import ExponentField
 from pxdg.functional import FunctionalSpec
 from pxdg.meshes import uniform_mesh
@@ -66,11 +68,11 @@ def corpus():
                BfgsConfig(max_iters=20000))
 
 
-def lines():
-    """The header, one line per solve of the corpus and the total line, as
-    printed.  While they run, ``optimize._band_solve`` counts and times its
-    calls."""
-    band_solve, tally = optimize._band_solve, [0, 0.0]
+@contextlib.contextmanager
+def counted_band_solves():
+    """While open, every call of ``band.KacanovBand.solve`` adds 1 and its
+    seconds to the yielded list ``[calls, seconds]``."""
+    band_solve, tally = band.KacanovBand.solve, [0, 0.0]
 
     def counted(*args):
         t0 = time.perf_counter()
@@ -80,11 +82,19 @@ def lines():
             tally[0] += 1
             tally[1] += time.perf_counter() - t0
 
+    with mock.patch.object(band.KacanovBand, "solve", counted):
+        yield tally
+
+
+def lines():
+    """The header, one line per solve of the corpus and the total line, as
+    printed.  While they run, ``band.KacanovBand.solve`` counts and times its
+    calls."""
     out = [f"{'solve':<28} {'steps':>6} {'evals':>6} {'solves':>6} {'newton':>6} {'ls_fail':>7} "
            f"{'stop':<18} {'gap/|E|':>10} {'energy':>22} {'wall_s':>8} {'band_ms':>8}"]
     total = np.zeros(3, dtype=int)
     band_ms = 0.0
-    with mock.patch.object(optimize, "_band_solve", counted):
+    with counted_band_solves() as tally:
         for label, method, spec, k, cfg in corpus():
             tally[:] = 0, 0.0
             rep = (solve_dg if method == "dg" else solve_cg)(spec, k, cfg)

@@ -209,51 +209,54 @@ def luxemburg_norm(samples, values, fld):
     if top == 0.0 or not math.isfinite(top):
         return float(top)
     p = fld(samples.xs[keep])
+    # |u/k|^p can overflow to inf, which reads as modular >= 1, the right
+    # verdict: a small function's first bracket trial, at rho^(1/p1), does so
+    # where the exponent range is wide
     with np.errstate(over="ignore"):
         rho = float((w * mags**p).sum())
-    scale = 1.0
-    if not _TINY <= rho < math.inf:
-        # each term of u / max|u| is at most its weight and the largest equals
-        # it, so this rho is finite and positive
-        scale, mags = float(top), mags / top
-        rho = float((w * mags**p).sum())
-    p1, p2 = fld.p1, fld.p2
-    # modular/norm comparison bounds give the initial bracket
-    if rho >= 1.0:
-        lo, hi = rho ** (1.0 / p2), rho ** (1.0 / p1)
-    else:
-        lo, hi = rho ** (1.0 / p1), rho ** (1.0 / p2)
-    lo, hi = min(lo, 1.0), max(hi, 1.0)
-    # expand until modular(u/lo) >= 1 >= modular(u/hi)
-    for _ in range(200):
-        if _modular_at(w, mags, lo, p) >= 1.0:
-            break
-        lo *= 0.5
-    for _ in range(200):
-        if _modular_at(w, mags, hi, p) <= 1.0:
-            break
-        hi *= 2.0
-    # no cap on the halvings: a small function's bracket [rho^(1/p), 1] spans
-    # hundreds of binades.  A subnormal bracket can be too coarse to get this
-    # narrow; it ends when its midpoint rounds to an end
-    while hi - lo > 1e-2 * hi:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if _modular_at(w, mags, mid, p) > 1.0:
-            lo = mid
+        scale = 1.0
+        if not _TINY <= rho < math.inf:
+            # each term of u / max|u| is at most its weight and the largest equals
+            # it, so this rho is finite and positive
+            scale, mags = float(top), mags / top
+            rho = float((w * mags**p).sum())
+        p1, p2 = fld.p1, fld.p2
+        # modular/norm comparison bounds give the initial bracket
+        if rho >= 1.0:
+            lo, hi = rho ** (1.0 / p2), rho ** (1.0 / p1)
         else:
-            hi = mid
-    k = 0.5 * (lo + hi)
-    for _ in range(8):
-        # a step past the bracket is clamped to it: where an end is the root
-        # (a constant exponent), the step lands an ulp beyond it
-        r, dr = _modular_and_slope(w, mags, k, p)
-        if dr == 0.0:
-            break
-        k, prev = min(max(k - (r - 1.0) / dr, lo), hi), k
-        if abs(k - prev) <= 4e-16 * k:
-            break
+            lo, hi = rho ** (1.0 / p1), rho ** (1.0 / p2)
+        lo, hi = min(lo, 1.0), max(hi, 1.0)
+        # expand until modular(u/lo) >= 1 >= modular(u/hi)
+        for _ in range(200):
+            if _modular_at(w, mags, lo, p) >= 1.0:
+                break
+            lo *= 0.5
+        for _ in range(200):
+            if _modular_at(w, mags, hi, p) <= 1.0:
+                break
+            hi *= 2.0
+        # no cap on the halvings: a small function's bracket [rho^(1/p), 1] spans
+        # hundreds of binades.  A subnormal bracket can be too coarse to get this
+        # narrow; it ends when its midpoint rounds to an end
+        while hi - lo > 1e-2 * hi:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if _modular_at(w, mags, mid, p) > 1.0:
+                lo = mid
+            else:
+                hi = mid
+        k = 0.5 * (lo + hi)
+        for _ in range(8):
+            # a step past the bracket is clamped to it: where an end is the root
+            # (a constant exponent), the step lands an ulp beyond it
+            r, dr = _modular_and_slope(w, mags, k, p)
+            if dr == 0.0:
+                break
+            k, prev = min(max(k - (r - 1.0) / dr, lo), hi), k
+            if abs(k - prev) <= 4e-16 * k:
+                break
     return float(scale * k)
 
 

@@ -27,11 +27,10 @@ most a few neighbouring DOFs, and A is held in numpy as the list of its nonzero
 operator the assembly stores.  The value and the per-term breakdown take one
 product A x and sum the terms' row segments in list order.  The gradient
 A^T (w s |t|^{s-2} t / d), with t = A x - b (zero where t = 0), is one scatter
-over the entries of A.  ``hess`` gives A^T diag(c) A in band storage for the
-term weights c of ``weights``: the relaxed Kacanov weights
+over the entries of A.  ``band`` is A^T diag(c) A, the ``band.KacanovBand`` of
+A, for the term weights c of ``weights``: the relaxed Kacanov weights
 w s max(|t|, eps)^{s-2} / d, or the Hessian's with the extra factor s - 1.  It
-is one scatter over the pairs of entries of each row of A, each at its band
-position, and the band's pattern is read from the same positions.  ``duality_gap``
+owns the band's storage and solve, and is freed with the assembly.  ``duality_gap``
 bounds the distance of the energy to its minimum from a dual point of the
 terms, which ``dual_point`` builds from one solve with that band.  The
 conforming map U is an index array: the shared nodal value each broken DOF
@@ -51,6 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .band import KacanovBand
 from .broken import BrokenFunction, _basis, _eval_matrix, dof_points, elementwise_gradient
 from .lifting import lift, lift_matrix
 from .quadrature import composite_points, reference_rule
@@ -169,23 +169,6 @@ def _row_blocks(cols, vals):
     cols, vals = np.broadcast_arrays(cols, vals)
     cols, vals = cols.reshape(-1, cols.shape[-1]), vals.reshape(-1, vals.shape[-1])
     return np.repeat(np.arange(len(vals)), vals.shape[1]), cols.ravel(), vals.ravel()
-
-
-def _tridiagonal_blocks(pattern):
-    """The smallest block size b, with the smallest leading shift s < b, for
-    which the lower band pattern (``pattern[k, i]`` true where H[i + k, i] may
-    be nonzero) is block tridiagonal on the blocks of b rows led by s padding
-    rows: row i in block (i + s) // b.  Entries below the last row are
-    ignored.  (max(m, 1), 0) holds every pattern of half-bandwidth m."""
-    m, n = pattern.shape[0] - 1, pattern.shape[1]
-    k, i = np.nonzero(pattern)
-    keep = i + k < n
-    k, i = k[keep], i[keep]
-    for b in range(1, max(m, 1)):
-        for s in range(b):
-            if np.all((i + k + s) // b - (i + s) // b <= 1):
-                return b, s
-    return max(m, 1), 0
 
 
 class _Assembly:
@@ -350,34 +333,9 @@ class _Assembly:
                 np.finfo(float).eps * float(np.sum(phi + conj + np.abs(yt))))
 
     @cached_property
-    def _band_map(self):
-        """(pos, row, val): the lower band of A^T diag(c) A, H[i + k, i] at
-        [k, i] for the n columns of A, as the sum of ``val * c[row]`` over the
-        entries at the flat position ``pos = k n + i``.  There is one entry
-        for every pair (a, b) of entries of one row of A with b not after a,
-        so col a >= col b: k = col a - col b, i = col b and val the product
-        of the two.  They are sorted by position, then by row, so each band
-        entry adds its products in row order."""
-        rows, cols, vals = self.A.rows, self.A.cols, self.A.vals
-        first = np.searchsorted(rows, rows)  # the first entry of each entry's row
-        a = np.repeat(np.arange(rows.size), np.arange(rows.size) - first + 1)
-        b = first[a] + np.arange(a.size) - np.searchsorted(a, a)
-        pos = (cols[a] - cols[b]) * self.A.shape[1] + cols[b]
-        order = np.lexsort((rows[a], pos))
-        return pos[order], rows[a][order], (vals[a] * vals[b])[order]
-
-    @cached_property
-    def band_blocks(self):
-        """(b, s): the blocks of ``optimize._band_solve`` for the band of
-        ``hess`` on the free columns, from ``_tridiagonal_blocks`` of its
-        structural pattern, the positions of ``_band_map``.  (k + 1, 1) for
-        DG on three or more elements: a volume row reaches its own element's
-        DOFs and the one next to each of its faces, so the blocks are centred
-        on the faces.  (k, 0) for CG."""
-        pos = self._band_map[0]
-        n = self.A.shape[1]
-        pattern = np.bincount(pos, minlength=(pos[-1] // n + 1) * n).reshape(-1, n) > 0
-        return _tridiagonal_blocks(pattern[:, self.free])
+    def band(self):
+        """The ``KacanovBand`` of A on the free DOFs, built at the first solve."""
+        return KacanovBand(self.A, self.free)
 
     def weights(self, t, eps, newton=False):
         """The weights c = w s max(|t|, eps)^{s-2} / d of the relaxed Kacanov
@@ -387,17 +345,6 @@ class _Assembly:
         if newton:
             c *= self.s - 1.0
         return c
-
-    def hess(self, c):
-        """The matrix A^T diag(c) A, for the term weights c of ``weights``, as
-        its lower band: an (m + 1, n) array with H[i + k, i] in row k, column
-        i, one ``np.bincount`` over the entries of ``_band_map``.  For s <= 2
-        its quadratic model majorizes the energy when eps = 0; at s = 2 it is
-        the Hessian."""
-        pos, row, val = self._band_map
-        n = self.A.shape[1]
-        size = (pos[-1] // n + 1) * n
-        return np.bincount(pos, val * c.take(row), minlength=size).reshape(-1, n)
 
     def function(self, x):
         """The BrokenFunction with the DOF vector x."""

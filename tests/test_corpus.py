@@ -17,7 +17,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
-from pxdg import exponents, optimize  # noqa: E402
+from pxdg import band, exponents  # noqa: E402
 from scripts import norm_counts, solver_counts  # noqa: E402
 
 
@@ -28,10 +28,10 @@ def expected(name):
 
 def test_solver_corpus_is_unchanged():
     # the first 117 characters leave out the wall_s and band_ms columns
-    band_solve = optimize._band_solve
+    band_solve = band.KacanovBand.solve
     got = "".join(line[:117] + "\n" for line in solver_counts.lines())
     assert got == expected("solver_counts.txt")
-    assert optimize._band_solve is band_solve
+    assert band.KacanovBand.solve is band_solve
 
 
 def test_luxemburg_norms_of_the_workloads_are_unchanged():

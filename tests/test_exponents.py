@@ -264,10 +264,7 @@ def test_luxemburg_polish_reaches_rounding():
                 xs = np.concatenate([rng.uniform(-1, 1, 45), rng.uniform(-0.01, 0.01, 5)])
                 s = WeightedSampleSet(np.sort(xs), rng.uniform(0, 0.04, 50))
                 u = rng.normal(scale=scale, size=50)
-                # a small function's first trial, at the lower comparison
-                # bound rho^(1/p1), can overflow to inf, which reads as >= 1
-                with np.errstate(over="ignore"):
-                    got = luxemburg_norm(s, u, fld)
+                got = luxemburg_norm(s, u, fld)
                 want = _fsum_root(s, u, fld, got)
                 assert abs(got - want) <= 2 * np.spacing(want), (fld, scale)
                 if fld.p1 == fld.p2:
@@ -275,6 +272,15 @@ def test_luxemburg_polish_reaches_rounding():
                     terms = s.weights * np.abs(u / scale) ** p
                     closed = scale * math.fsum(terms.tolist()) ** (1 / p)
                     assert abs(got - closed) <= 2 * np.spacing(closed), (p, scale)
+
+
+def test_luxemburg_trial_overflow_is_no_warning():
+    # the first bracket trial, at the lower comparison bound rho^(1/p1),
+    # overflows for a small function with a wide exponent range; the inf reads
+    # as modular >= 1, which is right, and RuntimeWarnings are errors here
+    s = WeightedSampleSet(np.array([-1.0, 1.0]), np.ones(2))
+    fld = ExponentField.piecewise_linear([-1, 1], [1.2, 8.0])
+    assert luxemburg_norm(s, np.array([1e-190, 1e-150]), fld) == 1.0000000000000001e-150
 
 
 def test_modular_norm_relations_examples():

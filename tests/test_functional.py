@@ -3,12 +3,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from pxdg.band import TAIL_UNKNOWNS, BlockLayout, _tridiagonal_blocks
 from pxdg.broken import BrokenFunction, dof_points, elementwise_gradient, interpolate, jumps
 from pxdg.exponents import ExponentField
 from pxdg.functional import (
     FunctionalSpec,
     TermBreakdown,
-    _tridiagonal_blocks,
     coercivity_certificate,
     continuous_assembly,
     discrete_assembly,
@@ -16,7 +16,6 @@ from pxdg.functional import (
 )
 from pxdg.lifting import lift
 from pxdg.meshes import Mesh1D, uniform_mesh
-from pxdg.optimize import TAIL_UNKNOWNS, _band_solve, _block_index
 from pxdg.problems import benchmark_mesh, cg_spec, dg_spec, paper1d
 from pxdg.quadrature import gauss_legendre
 
@@ -198,6 +197,11 @@ def test_gradient_matches_finite_differences():
                 assert _fd_check(asm, rng.normal(size=n), rng) <= 1e-6
 
 
+def band_solve(ab, rhs, blocks):
+    """The solve of the band ``ab`` on the blocks (b, s) of its own layout."""
+    return BlockLayout(ab.shape[0] - 1, ab.shape[1], *blocks).solve(ab, rhs)
+
+
 def band_to_dense(ab):
     """The symmetric matrix whose lower band ``ab`` holds H[i + k, i] at [k, i]."""
     n = ab.shape[1]
@@ -209,7 +213,7 @@ def band_to_dense(ab):
 
 
 def test_hess_is_the_jacobian_of_the_gradient():
-    # every exponent 2: the gradient is affine and hess(x, 0) is its exact Jacobian;
+    # every exponent 2: the gradient is affine and the band at eps = 0 is its exact Jacobian;
     # for other exponents the Newton weights give it away from zero residuals
     rng = np.random.default_rng(5)
     left = uniform_mesh(-1, 1, 6, "left")
@@ -223,7 +227,7 @@ def test_hess_is_the_jacobian_of_the_gradient():
     ):
         asm = discrete_assembly(spec, degree)
         x = rng.normal(size=asm.ndof)
-        H = band_to_dense(asm.hess(asm.weights(asm.residual(x), 0.0, newton)))
+        H = band_to_dense(asm.band.matrix(asm.weights(asm.residual(x), 0.0, newton)))
         h = 1e-6
         fd = np.column_stack([(asm.value_and_grad(x + h * e)[1]
                                - asm.value_and_grad(x - h * e)[1]) / (2 * h)
@@ -232,7 +236,7 @@ def test_hess_is_the_jacobian_of_the_gradient():
 
 
 def test_kacanov_quadratic_majorizes_paper_energy():
-    # s <= 2 everywhere: E(x + d) <= E(x) + g.d + d.H.d / 2 with H = hess(x, 0)
+    # s <= 2 everywhere: E(x + d) <= E(x) + g.d + d.H.d / 2 with H the band at eps = 0
     rng = np.random.default_rng(11)
     prob = paper1d()
     mesh = benchmark_mesh(10)
@@ -243,7 +247,7 @@ def test_kacanov_quadratic_majorizes_paper_energy():
             x = rng.normal(scale=1e6, size=asm.A.shape[1])
             assert np.all(asm.A @ x - asm.b != 0.0)
             f, g = asm.value_and_grad(x)
-            H = band_to_dense(asm.hess(asm.weights(asm.residual(x), 0.0)))
+            H = band_to_dense(asm.band.matrix(asm.weights(asm.residual(x), 0.0)))
             for scale in (1e-3, 1.0, 1e3, 1e6):
                 d = rng.normal(scale=scale, size=x.size)
                 model = f + g @ d + 0.5 * d @ H @ d
@@ -331,7 +335,7 @@ def test_gradient_and_hess_match_the_dense_term_operator():
                 c *= asm.s - 1.0
             H = A.T @ (c[:, None] * A)
             # the band has every nonzero of H; the solver cuts out the pinned ends
-            ab = asm.hess(asm.weights(t, eps, newton))
+            ab = asm.band.matrix(asm.weights(t, eps, newton))
             for cut in (slice(None), free):
                 got = band_to_dense(ab[:, cut])
                 assert np.max(np.abs(got - H[cut, cut])) <= 1e-13 * np.max(np.abs(H))
@@ -350,7 +354,7 @@ def test_band_solve_matches_dense_solve():
             ab[0] = np.abs(ab[0]) + 2.0 * (m + 1)  # diagonally dominant: SPD
             rhs = rng.normal(size=n)
             want = np.linalg.solve(band_to_dense(ab), rhs)
-            got = _band_solve(ab, rhs, (b, 0))
+            got = band_solve(ab, rhs, (b, 0))
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # the Kacanov matrices of the paper energy, DG at 40 and 1280 elements (m = 3,
     # n = 80 and 2560) and CG at 82 intervals (m = 1), with the cuts of the
@@ -364,12 +368,12 @@ def test_band_solve_matches_dense_solve():
     ):
         x = rng.normal(scale=1e5, size=asm.A.shape[1])
         t = asm.residual(x)
-        ab = asm.hess(asm.weights(t, 1e-3 * np.max(np.abs(t))))
+        ab = asm.band.matrix(asm.weights(t, 1e-3 * np.max(np.abs(t))))
         for cut in cuts:
             H = band_to_dense(ab)[cut, cut]
             rhs = rng.normal(size=H.shape[0])
             want = np.linalg.solve(H, rhs)
-            got = _band_solve(ab[:, cut], rhs, (max(ab.shape[0] - 1, 1), 0))
+            got = band_solve(ab[:, cut], rhs, (max(ab.shape[0] - 1, 1), 0))
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
@@ -377,7 +381,7 @@ def kacanov_band(asm, rng):
     """The Kacanov band of ``asm`` on its free columns at a random point."""
     x = rng.normal(scale=1e5, size=asm.A.shape[1])
     t = asm.residual(x)
-    return asm.hess(asm.weights(t, 1e-3 * np.max(np.abs(t))))[:, asm.free]
+    return asm.band.matrix(asm.weights(t, 1e-3 * np.max(np.abs(t))))[:, asm.free]
 
 
 def block_assemblies(n):
@@ -396,7 +400,7 @@ def test_band_blocks_are_centred_on_the_faces_for_dg():
     # DG block j: the last DOF of element j - 1 and the first k of element j
     for name, asm in block_assemblies(40):
         k = asm.degree
-        assert asm.band_blocks == ((k + 1, 1) if name.startswith("dg") else (k, 0)), name
+        assert asm.band.layout.blocks == ((k + 1, 1) if name.startswith("dg") else (k, 0)), name
 
 
 def test_band_solve_with_the_assembly_blocks_matches_dense_solve():
@@ -408,10 +412,9 @@ def test_band_solve_with_the_assembly_blocks_matches_dense_solve():
             ab = kacanov_band(asm, rng)
             rhs = rng.normal(size=ab.shape[1])
             want = np.linalg.solve(band_to_dense(ab), rhs)
-            got = _band_solve(ab, rhs, asm.band_blocks)
+            got = asm.band.layout.solve(ab, rhs)
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), (name, n)
-            depth = _block_index(ab.shape[0] - 1, ab.shape[1], *asm.band_blocks)[2]
-            depths.setdefault(name, set()).add(depth)
+            depths.setdefault(name, set()).add(asm.band.layout.depth)
     for name, seen in depths.items():
         assert {0, 1} <= seen and max(seen) >= 2, (name, seen)
 
@@ -421,22 +424,23 @@ def test_a_band_that_does_not_fit_the_blocks_is_rejected():
     for m in range(5):
         pattern = np.ones((m + 1, 30), dtype=bool)
         assert _tridiagonal_blocks(pattern) == (max(m, 1), 0)
-    # entries in no block of (b, s): _band_solve raises rather than drop them
+    # entries in no block of (b, s): the solve raises rather than drop them
     rng = np.random.default_rng(4)
     prob = paper1d()
     dg = discrete_assembly(dg_spec(prob, benchmark_mesh(200)), 1)
     full = 0.3 * rng.normal(size=(4, 400))
     full[0] = np.abs(full[0]) + 8.0  # diagonally dominant: SPD
     for ab in (full, kacanov_band(dg, rng)[:, 1:-1]):
-        assert np.any(ab.ravel()[_block_index(3, ab.shape[1], 2, 1)[1]] != 0.0)
+        layout = BlockLayout(3, ab.shape[1], *dg.band.layout.blocks)
+        assert np.any(ab.ravel()[layout.outside] != 0.0)
         with pytest.raises(np.linalg.LinAlgError, match="outside the blocks"):
-            _band_solve(ab, rng.normal(size=ab.shape[1]), dg.band_blocks)
+            layout.solve(ab, rng.normal(size=ab.shape[1]))
     # nor a nan
     ab = kacanov_band(dg, rng)
-    k, i = divmod(int(_block_index(3, ab.shape[1], *dg.band_blocks)[1][7]), ab.shape[1])
+    k, i = divmod(int(dg.band.layout.outside[7]), ab.shape[1])
     ab[k, i] = np.nan
     with pytest.raises(np.linalg.LinAlgError, match="outside the blocks"):
-        _band_solve(ab, np.ones(ab.shape[1]), dg.band_blocks)
+        dg.band.layout.solve(ab, np.ones(ab.shape[1]))
 
 
 def test_gradient_of_zero_candidate_is_boundary_local():

@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from pxdg.band import BlockLayout
 from pxdg.broken import interpolate, jumps
 from pxdg.exponents import ExponentField
 from pxdg.functional import FunctionalSpec, continuous_assembly, discrete_assembly, eval_discrete
@@ -10,7 +14,6 @@ from pxdg.optimize import (
     STALL_ITERS,
     BfgsConfig,
     _armijo_search,
-    _band_solve,
     solve_cg,
     solve_dg,
 )
@@ -138,9 +141,9 @@ def test_converged_exactly_at_the_absolute_tolerance():
     # max_iters, bad_pivot and stalled runs
     quadratic = quadratic_problem(n=8)[1]
     negated = quadratic_problem(n=6)[1]
-    asm = discrete_assembly(negated, 1)
-    hess = asm.hess
-    asm.hess = lambda *args: -hess(*args)
+    band = discrete_assembly(negated, 1).band
+    matrix = band.matrix
+    band.matrix = lambda c: -matrix(c)
     runs = [(quadratic, BfgsConfig()), (hat_problem(), BfgsConfig(grad_tol=1e-3)),
             (hat_problem(), BfgsConfig(max_iters=1)), (negated, BfgsConfig()),
             (quadratic, BfgsConfig(grad_tol=1e-16, max_iters=500))]
@@ -180,18 +183,18 @@ def test_band_solve_rejects_indefinite_and_non_finite():
         broken = ab.copy()
         broken[0, 3] = bad
         with pytest.raises(np.linalg.LinAlgError):
-            _band_solve(broken, np.ones(6), (1, 0))
+            BlockLayout(1, 6, 1, 0).solve(broken, np.ones(6))
     broken = ab.copy()
     broken[1, 2] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
-        _band_solve(broken, np.ones(6), (1, 0))
+        BlockLayout(1, 6, 1, 0).solve(broken, np.ones(6))
     # tridiagonal (0.9, 1, 0.9) on 7 rows: every diagonal entry, and so every
     # pivot of the first level, is 1, but the matrix is indefinite; its first
     # negative pivot is 1 - 2 * 0.81 in the second level
     indefinite = np.vstack((np.ones(7), np.full(7, 0.9)))
     assert np.linalg.eigvalsh(np.eye(7) + 0.9 * (np.eye(7, k=1) + np.eye(7, k=-1)))[0] < 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        _band_solve(indefinite, np.ones(7), (1, 0))
+        BlockLayout(1, 7, 1, 0).solve(indefinite, np.ones(7))
 
 
 def test_band_solve_rejects_a_bad_diagonal_in_a_level_and_in_the_tail():
@@ -207,27 +210,38 @@ def test_band_solve_rejects_a_bad_diagonal_in_a_level_and_in_the_tail():
     # (rows 509 and 510) among them; block 4 (rows 7 and 8) goes in the first
     dg = discrete_assembly(dg_spec(paper1d(), benchmark_mesh(400)), 1)
     t = dg.residual(rng.normal(scale=1e5, size=dg.ndof))
-    kacanov = dg.hess(dg.weights(t, 1e-3 * np.max(np.abs(t))))
-    for ab, blocks, level, tail in ((ab, (3, 0), 3 * 4 + 1, 3 * 63 + 1),
-                                    (kacanov, dg.band_blocks, 7, 509)):
+    kacanov = dg.band.matrix(dg.weights(t, 1e-3 * np.max(np.abs(t))))
+    for ab, layout, level, tail in ((ab, BlockLayout(3, n, 3, 0), 3 * 4 + 1, 3 * 63 + 1),
+                                    (kacanov, dg.band.layout, 7, 509)):
         rhs = np.ones(ab.shape[1])
-        assert np.all(np.isfinite(_band_solve(ab, rhs, blocks)))
+        assert np.all(np.isfinite(layout.solve(ab, rhs)))
         for row, where in ((level, "pivot"), (tail, "non-finite matrix|not positive definite")):
             for bad in (-1.0, 0.0, np.nan, np.inf):
                 broken = ab.copy()
                 broken[0, row] = bad
                 with pytest.raises(np.linalg.LinAlgError, match=where):
-                    _band_solve(broken, rhs, blocks)
+                    layout.solve(broken, rhs)
 
 
 def test_bad_pivot_ends_the_solve_without_a_step():
     mesh, spec = quadratic_problem(n=6)
-    asm = discrete_assembly(spec, 1)
-    hess = asm.hess
-    asm.hess = lambda *args: -hess(*args)  # negative definite
+    band = discrete_assembly(spec, 1).band
+    matrix = band.matrix
+    band.matrix = lambda c: -matrix(c)  # negative definite
     rep = solve_dg(spec, 1)
     assert not rep.converged and rep.stop_reason == "bad_pivot"
     assert rep.iterations == 0 and np.all(np.isfinite(rep.solution.coeffs))
+
+
+def test_a_block_layout_is_freed_with_its_assembly():
+    # the layout belongs to the assembly's band, which the spec caches; no
+    # cache of the module keeps it
+    spec = dg_spec(paper1d(), benchmark_mesh(40))
+    assert solve_dg(spec, 1).converged
+    index = weakref.ref(discrete_assembly(spec, 1).band.layout.index)
+    del spec
+    gc.collect()
+    assert index() is None
 
 
 def test_max_iters_ends_the_solve():
@@ -337,8 +351,7 @@ def test_duality_gap_bounds_the_energy_above_its_minimum(method):
             t = asm.residual(x)
             c = asm.weights(t, eps, newton)
             dx = np.zeros(n)
-            dx[free] = _band_solve(asm.hess(c)[:, free], -asm.value_and_grad(x)[1][free],
-                                   asm.band_blocks)
+            dx[free] = asm.band.solve(c, -asm.value_and_grad(x)[1][free])
             y = asm.dual_point(t, c, dx)
             assert np.max(np.abs((A.T @ y)[free])) <= 1e-10 * np.max(np.abs(y))
             return asm.duality_gap(t, y)
